@@ -37,14 +37,8 @@ from .patterns import (
     parse_pattern,
     stefan,
 )
-from .verify import (
-    enumerate_patterns,
-    verify_forcing_order,
-    verify_lemmas,
-    verify_refrem,
-    verify_stefan_only,
-    verify_trichotomy,
-)
+from . import verify
+from .verify import SUITES, enumerate_patterns
 
 
 def _pattern_arg(text: str, cycles: bool) -> Pattern:
@@ -176,34 +170,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-_SUITE_DEFAULTS = {
-    # suite: (max_period, cap, slow_max_period, slow_cap); cap None = unused
-    "forcing-order": (7, 9, 8, 10),
-    "trichotomy": (7, 9, 8, 10),
-    "refrem": (7, 9, 8, 10),
-    "stefan-only": (7, None, 8, None),
-    "lemmas": (10, 9, 10, 10),
-}
-
-_SUITE_RUNNERS = {
-    "forcing-order": verify_forcing_order,
-    "trichotomy": verify_trichotomy,
-    "refrem": verify_refrem,
-    "stefan-only": verify_stefan_only,
-    "lemmas": verify_lemmas,
-}
-
-
 def _cmd_verify(args) -> int:
-    fast_period, fast_cap, slow_period, slow_cap = _SUITE_DEFAULTS[args.suite]
-    max_period = slow_period if args.slow else fast_period
-    cap = slow_cap if args.slow else fast_cap
+    suite = SUITES[args.suite]
+    max_period, cap = suite.slow if args.slow else suite.defaults
     if args.max_period is not None:
         max_period = args.max_period
     if args.cap is not None:
         cap = args.cap
-    runner = _SUITE_RUNNERS[args.suite]
-    if args.suite == "stefan-only":
+    # resolved per call, so a rebound public function (perfbench's tracer) runs
+    runner = getattr(verify, "verify_" + args.suite.replace("-", "_"))
+    if suite.defaults[1] is None:
         report = runner(max_period, jobs=args.jobs)
     else:
         report = runner(max_period, cap, jobs=args.jobs)
@@ -285,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification sweep (JSON report)")
-    p.add_argument("suite", choices=sorted(_SUITE_DEFAULTS))
+    p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--max-period", type=int, default=None)
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--slow", action="store_true", help="wider default range")

@@ -13,6 +13,9 @@ left and a right half.  The refined family supports counting right-to-left
 transitions over the fixed point, which equals the over-rotation count of any
 realized orbit and so allows searching for orbits of a prescribed
 over-rotation number only.
+
+The covering spaces and the compose-and-realize kernel live in `markov`;
+this module owns the closed-walk search and the queries built on it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,15 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .markov import (
+    DegenerateRealizationError,
     DivergentPatternError,
+    LoopError,
     PLinearMap,
+    _compose,
+    _covering_space,
+    _minimal_period,
+    _realize,
+    _Space,
     fixed_point,
     fundamental_loop_pprime,
     p_linear,
@@ -38,14 +48,6 @@ from .patterns import (
     is_convergent,
     over_rotation_number,
 )
-
-
-class LoopError(ValueError):
-    """Raised for itineraries the covering graph does not allow."""
-
-
-class DegenerateRealizationError(ValueError):
-    """Raised when a construction that must yield a fresh orbit fails to."""
 
 
 @dataclass(frozen=True)
@@ -100,98 +102,6 @@ class TwistUpTo(NamedTuple):
     cap: int
 
 
-@dataclass(frozen=True)
-class _Space:
-    """An interval family exactly covered by the affine pieces of one map."""
-
-    lows: tuple
-    highs: tuple
-    slopes: tuple
-    offsets: tuple
-    succ: tuple
-    succ_sets: tuple
-    labels: tuple[str, ...]
-    right: tuple
-
-
-def _covering_space(bounds, pieces, labels, right) -> _Space:
-    lows = tuple(lo for lo, _ in bounds)
-    highs = tuple(hi for _, hi in bounds)
-    slopes = tuple(m for m, _ in pieces)
-    offsets = tuple(c for _, c in pieces)
-    succ = []
-    for v in range(len(bounds)):
-        y0 = slopes[v] * lows[v] + offsets[v]
-        y1 = slopes[v] * highs[v] + offsets[v]
-        img_lo, img_hi = (y0, y1) if y0 <= y1 else (y1, y0)
-        succ.append(
-            tuple(
-                u
-                for u in range(len(bounds))
-                if img_lo <= lows[u] and highs[u] <= img_hi
-            )
-        )
-    return _Space(
-        lows=lows,
-        highs=highs,
-        slopes=slopes,
-        offsets=offsets,
-        succ=tuple(succ),
-        succ_sets=tuple(frozenset(adj) for adj in succ),
-        labels=tuple(labels),
-        right=right,
-    )
-
-
-@lru_cache(maxsize=None)
-def _pbasic_space(images: tuple[int, ...]) -> _Space:
-    """Basic intervals J_i = [i, i+1] with the pattern's affine pieces."""
-    pattern = Pattern(images)
-    f = p_linear(pattern)
-    n = pattern.period
-    bounds = [(i, i + 1) for i in range(1, n)]
-    pieces = [f.piece(i) for i in range(1, n)]
-    labels = [f"J{i}" for i in range(1, n)]
-    return _covering_space(bounds, pieces, labels, right=None)
-
-
-@lru_cache(maxsize=None)
-def _pprime_space(images: tuple[int, ...]) -> _Space:
-    """Basic intervals refined by splitting at the fixed point (convergent)."""
-    pattern = Pattern(images)
-    a, split = fixed_point(pattern)
-    f = p_linear(pattern)
-    n = pattern.period
-    bounds = []
-    pieces = []
-    labels = []
-    for i in range(1, n):
-        piece = f.piece(i)
-        if i == split:
-            bounds.append((Fraction(i), a))
-            pieces.append(piece)
-            labels.append("Il")
-            bounds.append((a, Fraction(i + 1)))
-            pieces.append(piece)
-            labels.append("Ir")
-        else:
-            bounds.append((i, i + 1))
-            pieces.append(piece)
-            labels.append(f"J{i}")
-    space = _covering_space(bounds, pieces, labels, right=None)
-    right = tuple(lo >= a for lo in space.lows)
-    return _Space(
-        lows=space.lows,
-        highs=space.highs,
-        slopes=space.slopes,
-        offsets=space.offsets,
-        succ=space.succ,
-        succ_sets=space.succ_sets,
-        labels=space.labels,
-        right=right,
-    )
-
-
 def _canonical_rotation(walk: list, s: int) -> bool:
     """True when the walk is lexicographically least among its rotations
     starting at occurrences of the start vertex s."""
@@ -205,11 +115,12 @@ def _canonical_rotation(walk: list, s: int) -> bool:
 def _iter_closed_walks(space: _Space, q: int, target: int | None = None):
     """Closed length-q walks, one canonical rotation each, with composition.
 
-    Yields (walk, slope, offset): the vertex ids and the affine composition of
-    the pieces along the walk.  With a crossing target, only walks making
-    exactly `target` right-to-left transitions over the fixed point survive;
-    branches that already exceed the target, or can no longer reach it, are
-    cut (at most every other transition can cross back).
+    Yields (walk, prefixes): the vertex ids and the prefix compositions of the
+    pieces along the walk, as `_compose` returns them.  With a crossing
+    target, only walks making exactly `target` right-to-left transitions over
+    the fixed point survive; branches that already exceed the target, or can
+    no longer reach it, are cut (at most every other transition can cross
+    back).
     """
     succ = space.succ
     succ_sets = space.succ_sets
@@ -235,7 +146,9 @@ def _iter_closed_walks(space: _Space, q: int, target: int | None = None):
                         ok = ncr == target
                     if ok and _canonical_rotation(walk, s):
                         m = slopes[v]
-                        yield tuple(walk), m * al[t], m * be[t] + offsets[v]
+                        prefixes = list(zip(al, be))
+                        prefixes.append((m * al[t], m * be[t] + offsets[v]))
+                        yield tuple(walk), prefixes
                 t -= 1
                 continue
             options = fsucc[v]
@@ -264,87 +177,6 @@ def _iter_closed_walks(space: _Space, q: int, target: int | None = None):
                 t -= 1
 
 
-def _forward(space: _Space, walk, x) -> list:
-    """The forward images of x along the walk's pieces, starting with x."""
-    slopes = space.slopes
-    offsets = space.offsets
-    pts = []
-    y = x
-    for v in walk:
-        pts.append(y)
-        y = slopes[v] * y + offsets[v]
-    return pts
-
-
-def _minimal_period(pts: list) -> int:
-    q = len(pts)
-    x0 = pts[0]
-    for d in range(1, q):
-        if q % d == 0 and pts[d] == x0:
-            return d
-    return q
-
-
-def _probe_identity(space: _Space, walk, lo, hi, x0, pts0):
-    """Identity composition whose default representative has a short period.
-
-    Every interior point of the start interval is periodic, but two
-    time-slices of the composition may agree at the chosen point, collapsing
-    its minimal period.  The agreement points of all slice pairs are finitely
-    many; probing one point strictly between consecutive agreement points
-    finds a full-period representative whenever one exists.
-    """
-    q = len(walk)
-    slopes = space.slopes
-    offsets = space.offsets
-    al, be = 1, 0
-    prefixes = []
-    for v in walk:
-        prefixes.append((al, be))
-        al = slopes[v] * al
-        be = slopes[v] * be + offsets[v]
-    cuts = {Fraction(lo), Fraction(hi)}
-    for i in range(q):
-        a1, b1 = prefixes[i]
-        for j in range(i + 1, q):
-            a2, b2 = prefixes[j]
-            if a1 != a2:
-                w = Fraction(b2 - b1) / (a1 - a2)
-                if lo < w < hi:
-                    cuts.add(w)
-    ordered = sorted(cuts)
-    for left, right_ in zip(ordered, ordered[1:]):
-        cand = (left + right_) / 2
-        pts = _forward(space, walk, cand)
-        if _minimal_period(pts) == q:
-            return cand, pts
-    return x0, pts0
-
-
-def _realize(space: _Space, walk, alpha, beta):
-    """The periodic point of the walk's affine composition, with its orbit.
-
-    Returns (x, forward_points), or None when the composition is a pure
-    translation (which a covering walk cannot produce; kept as a guard).
-    The fixed point always lies in the admissible part of the start interval
-    because the composition maps that part onto the whole start interval.
-    """
-    s = walk[0]
-    lo = space.lows[s]
-    hi = space.highs[s]
-    if alpha == 1:
-        if beta != 0:
-            return None
-        x = (2 * Fraction(lo) + Fraction(hi)) / 3
-        pts = _forward(space, walk, x)
-        if _minimal_period(pts) == len(walk):
-            return x, pts
-        return _probe_identity(space, walk, lo, hi, x, pts)
-    x = Fraction(beta) / (1 - alpha)
-    assert lo <= x <= hi, "fixed point escaped its start interval"
-    return x, _forward(space, walk, x)
-
-
 def _iter_realized_points(pattern: Pattern, q: int) -> Iterator[list]:
     """Forward point lists of realized exact-period-q orbits (with repeats:
     one per canonical closed walk, not deduplicated by point set)."""
@@ -352,9 +184,9 @@ def _iter_realized_points(pattern: Pattern, q: int) -> Iterator[list]:
         if q == 1:
             yield [Fraction(1)]
         return
-    space = _pbasic_space(pattern.images)
-    for walk, alpha, beta in _iter_closed_walks(space, q):
-        res = _realize(space, walk, alpha, beta)
+    space = _covering_space(pattern.images, False)
+    for walk, prefixes in _iter_closed_walks(space, q):
+        res = _realize(space, walk[0], prefixes)
         if res is None:
             continue
         _, pts = res
@@ -393,21 +225,9 @@ def realize_loop(pattern: Pattern, loop) -> Orbit | Degenerate:
     point, with its exact minimal period, or Degenerate when the point lies
     on the base cycle and merely retraces part of it.
     """
-    if not loop:
-        raise LoopError("empty loop")
-    space = _pbasic_space(pattern.images)
-    ids = _vertex_ids(space, loop)
-    for t, v in enumerate(ids):
-        u = ids[(t + 1) % len(ids)]
-        if u not in space.succ_sets[v]:
-            raise LoopError(
-                f"no edge {space.labels[v]} -> {space.labels[u]} in the covering graph"
-            )
-    alpha, beta = 1, 0
-    for v in ids:
-        alpha = space.slopes[v] * alpha
-        beta = space.slopes[v] * beta + space.offsets[v]
-    res = _realize(space, ids, alpha, beta)
+    space = _covering_space(pattern.images, False)
+    ids, prefixes = _compose(space, loop)
+    res = _realize(space, ids[0], prefixes)
     if res is None:
         return Degenerate("the composed map is a translation without periodic points")
     x, pts = res
@@ -427,33 +247,15 @@ def realize_loop(pattern: Pattern, loop) -> Orbit | Degenerate:
     )
 
 
-def _vertex_ids(space: _Space, loop) -> list[int]:
-    index = {label: v for v, label in enumerate(space.labels)}
-    ids = []
-    for item in loop:
-        label = f"J{item}" if isinstance(item, int) else str(item)
-        if label not in index:
-            raise LoopError(
-                f"unknown interval {item!r}; intervals are {', '.join(space.labels)}"
-            )
-        ids.append(index[label])
-    return ids
-
-
 def compose_loop(pattern: Pattern, loop) -> AffineComposition:
     """The affine composition along a closed walk, with its start interval."""
-    if not loop:
-        raise LoopError("empty loop")
-    space = _pbasic_space(pattern.images)
-    ids = _vertex_ids(space, loop)
-    alpha, beta = Fraction(1), Fraction(0)
-    for v in ids:
-        alpha = space.slopes[v] * alpha
-        beta = space.slopes[v] * beta + space.offsets[v]
+    space = _covering_space(pattern.images, False)
+    ids, prefixes = _compose(space, loop)
+    alpha, beta = prefixes[-1]
     s = ids[0]
     return AffineComposition(
-        slope=alpha,
-        offset=beta,
+        slope=Fraction(alpha),
+        offset=Fraction(beta),
         domain_lo=Fraction(space.lows[s]),
         domain_hi=Fraction(space.highs[s]),
     )
@@ -584,11 +386,11 @@ def _twist_cached(images: tuple[int, ...], cap: int) -> NotTwist | TwistUpTo:
     rho = over_rotation_number(pattern)
     own = pattern
     step = rho.denominator
-    space = _pprime_space(pattern.images)
+    space = _covering_space(pattern.images, True)
     for q in range(step, cap + 1, step):
         target = int(rho * q)
-        for walk, alpha, beta in _iter_closed_walks(space, q, target=target):
-            res = _realize(space, walk, alpha, beta)
+        for walk, prefixes in _iter_closed_walks(space, q, target=target):
+            res = _realize(space, walk[0], prefixes)
             if res is None:
                 continue
             _, pts = res
@@ -607,8 +409,10 @@ def _hits_left_endpoint_from_left(pattern: Pattern) -> bool:
     return pre < a
 
 
-def _insert_direct(pattern: Pattern) -> Orbit:
-    space = _pprime_space(pattern.images)
+def _inserted_walk(pattern: Pattern) -> tuple[list[int], list]:
+    """Vertex ids and forward orbit of the refined fundamental loop extended
+    by one Ir, Il passage after its single Il visit."""
+    space = _covering_space(pattern.images, True)
     loop = list(fundamental_loop_pprime(pattern))
     if loop.count("Il") != 1:
         raise DegenerateRealizationError(
@@ -616,18 +420,11 @@ def _insert_direct(pattern: Pattern) -> Orbit:
         )
     j = loop.index("Il")
     extended = loop[: j + 1] + ["Ir", "Il"] + loop[j + 1 :]
-    ids = _vertex_ids(space, extended)
-    for t, v in enumerate(ids):
-        u = ids[(t + 1) % len(ids)]
-        if u not in space.succ_sets[v]:
-            raise DegenerateRealizationError(
-                f"extended loop broke covering at {space.labels[v]} -> {space.labels[u]}"
-            )
-    alpha, beta = 1, 0
-    for v in ids:
-        alpha = space.slopes[v] * alpha
-        beta = space.slopes[v] * beta + space.offsets[v]
-    res = _realize(space, ids, alpha, beta)
+    try:
+        ids, prefixes = _compose(space, extended)
+    except LoopError as exc:
+        raise DegenerateRealizationError(f"extended loop broke covering: {exc}") from None
+    res = _realize(space, ids[0], prefixes)
     if res is None:
         raise DegenerateRealizationError("extended loop composed to a translation")
     _, pts = res
@@ -636,30 +433,7 @@ def _insert_direct(pattern: Pattern) -> Orbit:
         raise DegenerateRealizationError(
             f"extended loop realized an orbit of period {period}, not {len(ids)}"
         )
-    return Orbit(
-        points=tuple(sorted(pts)),
-        period=period,
-        itinerary=tuple(extended),
-        carrier=p_linear(pattern),
-    )
-
-
-def _mirror_orbit(pattern: Pattern, orbit: Orbit) -> Orbit:
-    n = pattern.period
-
-    def mirror_label(label: str) -> str:
-        if label == "Il":
-            return "Ir"
-        if label == "Ir":
-            return "Il"
-        return f"J{n - int(label[1:])}"
-
-    return Orbit(
-        points=tuple(sorted(n + 1 - x for x in orbit.points)),
-        period=orbit.period,
-        itinerary=tuple(mirror_label(label) for label in orbit.itinerary),
-        carrier=p_linear(pattern),
-    )
+    return ids, pts
 
 
 def insert_rotation(pattern: Pattern, cap: int | None = None) -> Orbit:
@@ -685,12 +459,23 @@ def insert_rotation(pattern: Pattern, cap: int | None = None) -> Orbit:
     verdict = is_twist_bounded(pattern, cap)
     if not isinstance(verdict, TwistUpTo):
         raise ValueError(f"pattern {pattern} is not twist-verified")
+    space = _covering_space(pattern.images, True)
     if _hits_left_endpoint_from_left(pattern):
-        return _insert_direct(pattern)
-    mirror = flip(pattern)
-    if _hits_left_endpoint_from_left(mirror):
-        return _mirror_orbit(pattern, _insert_direct(mirror))
-    raise ValueError(
-        f"neither endpoint of the fixed-point interval of {pattern} "
-        "is hit from its own side"
+        ids, pts = _inserted_walk(pattern)
+    elif _hits_left_endpoint_from_left(flip(pattern)):
+        # the mirror's refined intervals are this pattern's in reverse order
+        ids, pts = _inserted_walk(flip(pattern))
+        last = len(space.labels) - 1
+        ids = [last - v for v in ids]
+        pts = [pattern.period + 1 - x for x in pts]
+    else:
+        raise ValueError(
+            f"neither endpoint of the fixed-point interval of {pattern} "
+            "is hit from its own side"
+        )
+    return Orbit(
+        points=tuple(sorted(pts)),
+        period=len(pts),
+        itinerary=tuple(space.labels[v] for v in ids),
+        carrier=p_linear(pattern),
     )

@@ -30,6 +30,8 @@ class Pattern:
         n = len(images)
         if n == 0:
             raise PatternError("empty pattern")
+        if set(map(type, images)) != {int}:
+            raise PatternError(f"entries must be integers, got {list(images)}")
         if sorted(images) != list(range(1, n + 1)):
             raise PatternError(
                 f"not a bijection of {{1..{n}}}: {list(images)}"

@@ -10,11 +10,12 @@ violation is a genuine counterexample, not noise.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .forcing import (
     TwistUpTo,
@@ -371,18 +372,30 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
     return out
 
 
-_CHECKERS = {
-    "forcing-order": _check_forcing_order,
-    "trichotomy": _check_trichotomy,
-    "refrem": _check_refrem,
-    "stefan-only": _check_stefan_only,
-    "lemmas": _check_lemmas,
+class Suite(NamedTuple):
+    """One verification suite: its per-pattern checker, the first period it
+    sweeps, and its (max_period, cap) at acceptance scale and under --slow;
+    cap is None for suites that take none.  The suite is run by the public
+    function verify_<name>, dashes turned into underscores."""
+
+    checker: Callable[[Pattern, dict], list[dict]]
+    first_period: int
+    defaults: tuple[int, int | None]
+    slow: tuple[int, int | None]
+
+
+SUITES = {
+    "forcing-order": Suite(_check_forcing_order, 3, (7, 9), (8, 10)),
+    "trichotomy": Suite(_check_trichotomy, 2, (7, 9), (8, 10)),
+    "refrem": Suite(_check_refrem, 3, (7, 9), (8, 10)),
+    "stefan-only": Suite(_check_stefan_only, 2, (7, None), (8, None)),
+    "lemmas": Suite(_check_lemmas, 2, (10, 9), (10, 10)),
 }
 
 
 def _shard_worker(task) -> list[dict]:
     suite, period, offset, stride, params = task
-    checker = _CHECKERS[suite]
+    checker = SUITES[suite].checker
     out = []
     for i, pattern in enumerate(enumerate_patterns(period)):
         if i % stride != offset:
@@ -395,22 +408,26 @@ def _violation_key(v: dict):
     return (v["claim"], v["pattern"], v["witness"])
 
 
-def _run_suite(suite: str, periods, params: dict, jobs: int) -> VerificationReport:
+def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
+    """Run a suite's checker on every pattern of its periods, sharded over at
+    most one worker process per CPU."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    checker = _CHECKERS[suite]
+    entry = SUITES[suite]
+    periods = range(entry.first_period, params["max_period"] + 1)
+    workers = min(jobs, os.cpu_count() or 1)
     violations: list[dict] = []
-    if jobs == 1:
+    if workers == 1:
         for period in periods:
             for pattern in enumerate_patterns(period):
-                violations.extend(checker(pattern, params))
+                violations.extend(entry.checker(pattern, params))
     else:
         tasks = [
-            (suite, period, offset, jobs, tuple(params.items()))
+            (suite, period, offset, workers, tuple(params.items()))
             for period in periods
-            for offset in range(jobs)
+            for offset in range(workers)
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_shard_worker, tasks):
                 violations.extend(part)
     violations.sort(key=_violation_key)
@@ -427,7 +444,7 @@ def verify_forcing_order(m_max: int = 7, s_max: int = 9, jobs: int = 1) -> Verif
     if not 3 <= m_max <= s_max:
         raise ValueError(f"need 3 <= m_max <= s_max, got {m_max}, {s_max}")
     params = {"max_period": m_max, "cap": s_max}
-    return _run_suite("forcing-order", range(3, m_max + 1), params, jobs)
+    return _run_suite("forcing-order", params, jobs)
 
 
 def verify_trichotomy(n_max: int = 7, cap: int = 9, jobs: int = 1) -> VerificationReport:
@@ -436,7 +453,7 @@ def verify_trichotomy(n_max: int = 7, cap: int = 9, jobs: int = 1) -> Verificati
     if not 3 <= n_max <= cap:
         raise ValueError(f"need 3 <= n_max <= cap, got {n_max}, {cap}")
     params = {"max_period": n_max, "cap": cap}
-    return _run_suite("trichotomy", range(2, n_max + 1), params, jobs)
+    return _run_suite("trichotomy", params, jobs)
 
 
 def verify_refrem(m_max: int = 7, s_max: int = 9, jobs: int = 1) -> VerificationReport:
@@ -446,7 +463,7 @@ def verify_refrem(m_max: int = 7, s_max: int = 9, jobs: int = 1) -> Verification
     if not 3 <= m_max <= s_max:
         raise ValueError(f"need 3 <= m_max <= s_max, got {m_max}, {s_max}")
     params = {"max_period": m_max, "cap": s_max}
-    return _run_suite("refrem", range(3, m_max + 1), params, jobs)
+    return _run_suite("refrem", params, jobs)
 
 
 def verify_stefan_only(n_max: int = 7, jobs: int = 1) -> VerificationReport:
@@ -455,7 +472,7 @@ def verify_stefan_only(n_max: int = 7, jobs: int = 1) -> VerificationReport:
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
     params = {"max_period": n_max}
-    return _run_suite("stefan-only", range(2, n_max + 1), params, jobs)
+    return _run_suite("stefan-only", params, jobs)
 
 
 def verify_lemmas(n_max: int = 10, cap: int = 9, jobs: int = 1) -> VerificationReport:
@@ -468,4 +485,4 @@ def verify_lemmas(n_max: int = 10, cap: int = 9, jobs: int = 1) -> VerificationR
     if n_max < 2 or cap < 2:
         raise ValueError(f"need n_max >= 2 and cap >= 2, got {n_max}, {cap}")
     params = {"max_period": n_max, "cap": cap}
-    return _run_suite("lemmas", range(2, n_max + 1), params, jobs)
+    return _run_suite("lemmas", params, jobs)

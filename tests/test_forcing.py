@@ -25,6 +25,7 @@ from overrot import (
     is_convergent,
     is_doubling,
     is_twist_bounded,
+    markov_graph,
     orp_spectrum,
     over_rotation_number,
     over_rotation_pair,
@@ -141,6 +142,47 @@ class TestComposeLoop:
         comp = compose_loop(THREE, (1, 2))
         x = comp.offset / (1 - comp.slope)
         assert x in realize_loop(THREE, (1, 2)).points
+
+    def test_rejects_non_edges(self):
+        with pytest.raises(LoopError, match="no edge"):
+            compose_loop(THREE, (1, 1))
+
+
+@st.composite
+def closed_walks(draw):
+    """A pattern of period <= 7 and a closed walk in its covering graph: the
+    stretch between two visits of one vertex on a random walk."""
+    pattern = draw(small_patterns(7))
+    graph = markov_graph(pattern)
+    walk = [draw(st.integers(min_value=1, max_value=graph.num_vertices))]
+    for _ in range(3 * graph.num_vertices):
+        walk.append(draw(st.sampled_from(graph.successors(walk[-1]))))
+    returns = [
+        (i, j)
+        for i in range(len(walk))
+        for j in range(i + 1, len(walk))
+        if walk[i] == walk[j]
+    ]
+    i, j = draw(st.sampled_from(returns))
+    return pattern, tuple(walk[i:j])
+
+
+class TestKernelProperties:
+    @given(closed_walks())
+    @settings(max_examples=150, deadline=None)
+    def test_realized_orbits_follow_the_definitions(self, case):
+        pattern, walk = case
+        result = realize_loop(pattern, walk)
+        if not isinstance(result, Orbit):
+            return
+        f = result.carrier
+        assert {f(x) for x in result.points} == set(result.points)
+        assert len(result.points) == result.period
+        comp = compose_loop(pattern, walk)
+        assert any(
+            comp.domain_lo <= x <= comp.domain_hi and comp.slope * x + comp.offset == x
+            for x in result.points
+        )
 
 
 class TestForcedPatterns:

@@ -66,6 +66,11 @@ class TestConstruction:
         with pytest.raises(PatternError, match="single cycle"):
             Pattern((2, 1, 4, 3))
 
+    @pytest.mark.parametrize("images", [(2.0, 3.0, 1.0), (True,), (2, True), ("2", "1")])
+    def test_rejects_entries_that_are_not_integers(self, images):
+        with pytest.raises(PatternError, match="integers"):
+            Pattern(images)
+
     def test_rejects_identity_of_period_two(self):
         with pytest.raises(PatternError):
             Pattern((1, 2))

@@ -1,9 +1,12 @@
 """Pattern enumeration, forced-period scans, and the verification sweeps."""
 
+import inspect
 import itertools
 import json
 
 import pytest
+
+import overrot.verify
 
 from overrot import (
     NdNbsReport,
@@ -152,6 +155,41 @@ class TestSuites:
         serial = verify_trichotomy(5, 8, jobs=1)
         parallel = verify_trichotomy(5, 8, jobs=3)
         assert json.dumps(serial.to_dict()) == json.dumps(parallel.to_dict())
+
+    def test_workers_are_clamped_to_the_cpu_count(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Stands in for the process pool: maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(overrot.verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(overrot.verify.os, "cpu_count", lambda: 3)
+        wide = verify_trichotomy(5, 8, jobs=64)
+        assert started == [3]
+        serial = verify_trichotomy(5, 8, jobs=1)
+        assert json.dumps(wide.to_dict()) == json.dumps(serial.to_dict())
+
+    def test_suite_table_defaults_are_the_public_defaults(self):
+        for name, suite in overrot.verify.SUITES.items():
+            runner = getattr(overrot.verify, "verify_" + name.replace("-", "_"))
+            defaults = tuple(
+                p.default
+                for p in inspect.signature(runner).parameters.values()
+                if p.name != "jobs"
+            )
+            assert defaults == tuple(v for v in suite.defaults if v is not None)
 
     def test_report_serialization_shape(self):
         report = verify_stefan_only(4)
