@@ -26,13 +26,8 @@ from .patterns import (
     OrpPair,
     Pattern,
     PatternError,
-    block_structures,
     classify,
     format_pattern,
-    has_division,
-    is_convergent,
-    is_doubling,
-    over_rotation_pair,
     parse_cycle,
     parse_pattern,
     stefan,
@@ -148,23 +143,21 @@ def _cmd_enumerate(args) -> int:
         ]
     )
     for pattern in enumerate_patterns(args.period):
-        if args.no_division and has_division(pattern):
+        record = classify(pattern)
+        if args.no_division and record["division"]:
             continue
-        if args.no_block_structure and block_structures(pattern):
+        if args.no_block_structure and record["block_sizes"]:
             continue
-        if args.divergent and is_convergent(pattern):
+        if args.divergent and record["convergent"]:
             continue
-        pair = over_rotation_pair(pattern)
-        sizes = ";".join(str(d.block_size) for d in block_structures(pattern))
         writer.writerow(
             [
                 format_pattern(pattern),
-                pair.p,
-                pair.q,
-                str(is_convergent(pattern)).lower(),
-                str(has_division(pattern)).lower(),
-                str(is_doubling(pattern)).lower(),
-                sizes,
+                *record["orp"],
+                str(record["convergent"]).lower(),
+                str(record["division"]).lower(),
+                str(record["doubling"]).lower(),
+                ";".join(str(size) for size in record["block_sizes"]),
             ]
         )
     return 0
@@ -176,10 +169,12 @@ def _cmd_verify(args) -> int:
     if args.max_period is not None:
         max_period = args.max_period
     if args.cap is not None:
+        if cap is None:
+            raise ValueError(f"suite {args.suite} takes no --cap")
         cap = args.cap
     # resolved per call, so a rebound public function (perfbench's tracer) runs
     runner = getattr(verify, "verify_" + args.suite.replace("-", "_"))
-    if suite.defaults[1] is None:
+    if cap is None:
         report = runner(max_period, jobs=args.jobs)
     else:
         report = runner(max_period, cap, jobs=args.jobs)

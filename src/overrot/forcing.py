@@ -3,9 +3,12 @@
 The cycles of the pattern-linear map of A correspond to closed walks in its
 covering graph.  Composing the affine pieces along a closed walk gives an
 affine map of the start interval; its fixed point realizes a periodic orbit
-exactly, in rational arithmetic.  Enumerating closed walks of a given length,
-realizing each, and collecting the patterns of the resulting orbits decides
-which patterns A forces at that period.
+exactly, in rational arithmetic.  The search `_iter_orbits` enumerates closed
+walks of a given length, realizes each, and yields the pattern of each
+resulting orbit; every query (forced sets, forcing, spectra, twist verdicts,
+and the nd/nbs scans of `verify`) is a reduction over that stream.  Orbit
+points stay inside the search; only `realize_loop` and `insert_rotation`
+return them.
 
 Two interval families are walked: the basic intervals of the pattern itself,
 and the refined family that splits the interval around the fixed point into a
@@ -34,7 +37,6 @@ from .markov import (
     _covering_space,
     _minimal_period,
     _realize,
-    _Space,
     fixed_point,
     fundamental_loop_pprime,
     p_linear,
@@ -43,6 +45,8 @@ from .patterns import (
     OrpPair,
     Pattern,
     PatternError,
+    _flip_images,
+    _half_turns,
     canonical,
     flip,
     is_convergent,
@@ -112,16 +116,26 @@ def _canonical_rotation(walk: list, s: int) -> bool:
     return True
 
 
-def _iter_closed_walks(space: _Space, q: int, target: int | None = None):
-    """Closed length-q walks, one canonical rotation each, with composition.
+def _iter_orbits(
+    images: tuple[int, ...], q: int, target: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """The patterns of the exact-period-q orbits of a pattern's map.
 
-    Yields (walk, prefixes): the vertex ids and the prefix compositions of the
-    pieces along the walk, as `_compose` returns them.  With a crossing
-    target, only walks making exactly `target` right-to-left transitions over
-    the fixed point survive; branches that already exceed the target, or can
-    no longer reach it, are cut (at most every other transition can cross
-    back).
+    Walks the closed length-q walks of the covering space, one canonical
+    rotation each, realizes each walk's periodic orbit and yields the one-line
+    images of the orbits of minimal period q (not canonicalized; one per
+    canonical walk, so an orbit traced by two walks is yielded twice).  No
+    point leaves this generator.  Without a crossing target the basic space
+    is walked; with one, the refined space, and only walks making exactly
+    `target` right-to-left transitions over the fixed point survive: branches
+    that already exceed the target, or can no longer reach it, are cut (at
+    most every other transition can cross back).
     """
+    if len(images) < 2:
+        if q == 1:
+            yield (1,)
+        return
+    space = _covering_space(images, target is not None)
     succ = space.succ
     succ_sets = space.succ_sets
     slopes = space.slopes
@@ -148,7 +162,18 @@ def _iter_closed_walks(space: _Space, q: int, target: int | None = None):
                         m = slopes[v]
                         prefixes = list(zip(al, be))
                         prefixes.append((m * al[t], m * be[t] + offsets[v]))
-                        yield tuple(walk), prefixes
+                        res = _realize(space, s, prefixes)
+                        if res is not None and _minimal_period(res[1]) == q:
+                            # rank the forward orbit; the point of rank r maps
+                            # to the rank of its successor in time (a tuple of
+                            # a list, not of a generator: the latter raised the
+                            # twist benchmark's peak RSS by 3%)
+                            pts = res[1]
+                            order = sorted(range(q), key=pts.__getitem__)
+                            rank = [0] * q
+                            for r, k in enumerate(order):
+                                rank[k] = r + 1
+                            yield tuple([rank[(k + 1) % q] for k in order])
                 t -= 1
                 continue
             options = fsucc[v]
@@ -175,45 +200,6 @@ def _iter_closed_walks(space: _Space, q: int, target: int | None = None):
                 break
             if not moved:
                 t -= 1
-
-
-def _iter_realized_points(pattern: Pattern, q: int) -> Iterator[list]:
-    """Forward point lists of realized exact-period-q orbits (with repeats:
-    one per canonical closed walk, not deduplicated by point set)."""
-    if pattern.period < 2:
-        if q == 1:
-            yield [Fraction(1)]
-        return
-    space = _covering_space(pattern.images, False)
-    for walk, prefixes in _iter_closed_walks(space, q):
-        res = _realize(space, walk[0], prefixes)
-        if res is None:
-            continue
-        _, pts = res
-        if _minimal_period(pts) == q:
-            yield pts
-
-
-def _pattern_from_forward(pts: list) -> Pattern:
-    """The pattern of an orbit given in forward (time) order."""
-    q = len(pts)
-    order = sorted(range(q), key=pts.__getitem__)
-    rank = [0] * q
-    for r, t in enumerate(order):
-        rank[t] = r + 1
-    images = [0] * q
-    for t in range(q):
-        images[rank[t] - 1] = rank[(t + 1) % q]
-    return Pattern(tuple(images))
-
-
-def _orp_from_forward(pts: list) -> int:
-    """Over-rotation count p of an orbit in forward order: half the number of
-    displacement sign changes along the cycle."""
-    q = len(pts)
-    rising = [pts[(t + 1) % q] > pts[t] for t in range(q)]
-    changes = sum(1 for t in range(q) if rising[t] != rising[(t + 1) % q])
-    return changes // 2
 
 
 def realize_loop(pattern: Pattern, loop) -> Orbit | Degenerate:
@@ -269,25 +255,19 @@ def pattern_of_orbit(orbit: Orbit) -> Pattern:
     return Pattern(tuple(rank[f(x)] for x in pts))
 
 
-def _iter_forced_patterns(pattern: Pattern, q: int) -> Iterator[Pattern]:
+def _iter_forced_patterns(images: tuple[int, ...], q: int) -> Iterator[Pattern]:
     """Canonical patterns of exact-period-q realized orbits, deduplicated."""
-    seen_orbits = set()
-    seen_patterns = set()
-    for pts in _iter_realized_points(pattern, q):
-        key = frozenset(pts)
-        if key in seen_orbits:
-            continue
-        seen_orbits.add(key)
-        result = canonical(_pattern_from_forward(pts))
-        if result.images in seen_patterns:
-            continue
-        seen_patterns.add(result.images)
-        yield result
+    seen = set()
+    for orbit in _iter_orbits(images, q):
+        key = min(orbit, _flip_images(orbit))
+        if key not in seen:
+            seen.add(key)
+            yield Pattern(key)
 
 
 @lru_cache(maxsize=None)
 def _forced_cached(images: tuple[int, ...], q: int) -> frozenset[Pattern]:
-    return frozenset(_iter_forced_patterns(Pattern(images), q))
+    return frozenset(_iter_forced_patterns(images, q))
 
 
 def forced_patterns(pattern: Pattern, q: int) -> frozenset[Pattern]:
@@ -305,24 +285,17 @@ def forced_patterns(pattern: Pattern, q: int) -> frozenset[Pattern]:
 def forces(a: Pattern, b: Pattern) -> bool:
     """True when every map exhibiting a also exhibits b."""
     target = canonical(b)
-    source = canonical(a)
-    if source.period == 1:
-        return target.period == 1
-    return any(
-        candidate == target
-        for candidate in _iter_forced_patterns(source, target.period)
-    )
+    return target in _iter_forced_patterns(canonical(a).images, target.period)
 
 
 @lru_cache(maxsize=None)
 def _spectrum_cached(images: tuple[int, ...], cap: int) -> frozenset[OrpPair]:
-    pattern = Pattern(images)
     pairs = set()
     for q in range(2, cap + 1):
         possible = q // 2
         found: set[int] = set()
-        for pts in _iter_realized_points(pattern, q):
-            found.add(_orp_from_forward(pts))
+        for orbit in _iter_orbits(images, q):
+            found.add(_half_turns(orbit))
             if len(found) == possible:
                 break
         pairs.update(OrpPair(p, q) for p in found)
@@ -365,12 +338,15 @@ def is_twist_bounded(pattern: Pattern, cap: int | None = None) -> NotTwist | Twi
     period a multiple of the reduced denominator, and their orbits cross the
     fixed point right-to-left exactly rho * period times, so the search walks
     the refined interval family with that exact crossing count.  Divergent
-    patterns are never twist and get NotTwist directly.
+    patterns are never twist and get NotTwist directly.  The cap must be at
+    least 2; it defaults to three periods.
     """
     if pattern.period < 2:
         raise PatternError("twist verdicts need period at least 2")
     if cap is None:
         cap = 3 * pattern.period
+    if cap < 2:
+        raise ValueError(f"cap must be at least 2, got {cap}")
     # the verdict is mirror-invariant (competitors mirror along with the
     # pattern), so it is computed and cached on the canonical representative
     return _twist_cached(canonical(pattern).images, cap)
@@ -384,19 +360,10 @@ def _twist_cached(images: tuple[int, ...], cap: int) -> NotTwist | TwistUpTo:
     if not twist_monotone_check(pattern):
         return NotTwist()
     rho = over_rotation_number(pattern)
-    own = pattern
     step = rho.denominator
-    space = _covering_space(pattern.images, True)
     for q in range(step, cap + 1, step):
-        target = int(rho * q)
-        for walk, prefixes in _iter_closed_walks(space, q, target=target):
-            res = _realize(space, walk[0], prefixes)
-            if res is None:
-                continue
-            _, pts = res
-            if _minimal_period(pts) != q:
-                continue
-            if canonical(_pattern_from_forward(pts)) != own:
+        for orbit in _iter_orbits(images, q, target=int(rho * q)):
+            if min(orbit, _flip_images(orbit)) != images:
                 return NotTwist()
     return TwistUpTo(cap)
 

@@ -230,17 +230,22 @@ def over_rotation_pair(pattern: Pattern) -> OrpPair:
     number of points where the sign differs from the sign at the image point.
     The pair is not reduced; use over_rotation_number for the ratio.
     """
-    images = pattern.images
-    n = len(images)
+    n = pattern.period
     if n < 2:
         raise PatternError("over-rotation data needs period at least 2")
+    return OrpPair(_half_turns(pattern.images), n)
+
+
+def _half_turns(images: tuple[int, ...]) -> int:
+    """The over-rotation count p of one-line images: half the number of
+    points whose displacement sign differs from their image's."""
     changes = 0
     for i, target in enumerate(images, 1):
         rising = target > i
         rising_next = images[target - 1] > target
         if rising != rising_next:
             changes += 1
-    return OrpPair(changes // 2, n)
+    return changes // 2
 
 
 def over_rotation_number(pattern: Pattern) -> Fraction:

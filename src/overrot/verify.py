@@ -19,8 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .forcing import (
     TwistUpTo,
-    _iter_realized_points,
-    _pattern_from_forward,
+    _iter_orbits,
     forced_patterns,
     is_twist_bounded,
     orp_spectrum,
@@ -92,13 +91,12 @@ def enumerate_patterns(period: int) -> Iterator[Pattern]:
 
 @lru_cache(maxsize=None)
 def _nd_nbs_cached(images: tuple[int, ...], cap: int):
-    pattern = Pattern(images)
     nd = set()
     nbs = set()
     for q in range(3, cap + 1):
         found_nd = False
-        for pts in _iter_realized_points(pattern, q):
-            forced = _pattern_from_forward(pts)
+        for orbit in _iter_orbits(images, q):
+            forced = Pattern(orbit)
             if not found_nd and not has_division(forced):
                 found_nd = True
                 nd.add(q)

@@ -135,6 +135,11 @@ class TestTwist:
     def test_default_cap(self, capsys):
         assert run(capsys, "twist", "2 3 1")[1] == "twist-up-to 9\n"
 
+    def test_cap_below_two_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "twist", "2 3 1", "--cap", "-5")
+        assert (code, out) == (2, "")
+        assert "cap must be at least 2" in err
+
 
 class TestEnumerate:
     def test_csv_shape(self, capsys):
@@ -203,6 +208,11 @@ class TestVerify:
             "2",
         )
         assert out1 == out2
+
+    def test_cap_for_a_suite_without_one_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "stefan-only", "--cap", "2")
+        assert (code, out) == (2, "")
+        assert "stefan-only takes no --cap" in err
 
     def test_unknown_suite_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -216,6 +216,48 @@ class TestForcedPatterns:
         assert forced_patterns(p, q) == forced_patterns(flip(p), q)
 
 
+CANONICAL_2_TO_5 = [p for n in range(2, 6) for p in enumerate_patterns(n)]
+
+
+def every_closed_walk(pattern: Pattern, q: int):
+    """Every closed length-q walk of the covering graph, all rotations."""
+    graph = markov_graph(pattern)
+
+    def extend(walk):
+        if len(walk) == q:
+            if walk[0] in graph.successors(walk[-1]):
+                yield tuple(walk)
+            return
+        for u in graph.successors(walk[-1]):
+            yield from extend(walk + [u])
+
+    for v in range(1, graph.num_vertices + 1):
+        yield from extend([v])
+
+
+class TestSearchAgainstKernel:
+    """The orbit search pinned against the public compose-and-realize path."""
+
+    @pytest.mark.parametrize("pattern", CANONICAL_2_TO_5, ids=str)
+    def test_forced_sets_are_the_patterns_of_realized_walks(self, pattern):
+        for q in range(1, 7):
+            expected = set()
+            for walk in every_closed_walk(pattern, q):
+                orbit = realize_loop(pattern, walk)
+                if isinstance(orbit, Orbit) and orbit.period == q:
+                    expected.add(canonical(pattern_of_orbit(orbit)))
+            assert forced_patterns(pattern, q) == expected, f"period {q}"
+
+    @pytest.mark.parametrize("pattern", CANONICAL_2_TO_5, ids=str)
+    def test_spectrum_is_the_pairs_of_the_forced_sets(self, pattern):
+        expected = {
+            OrpPair(over_rotation_pair(f).p, q)
+            for q in range(2, 9)
+            for f in forced_patterns(pattern, q)
+        }
+        assert orp_spectrum(pattern, 8) == expected
+
+
 class TestForces:
     def test_three_forces_everything_small(self):
         assert forces(THREE, TWO)
@@ -315,6 +357,13 @@ class TestTwist:
     def test_rejects_period_one(self):
         with pytest.raises(PatternError):
             is_twist_bounded(Pattern((1,)))
+
+    @pytest.mark.parametrize("cap", [1, 0, -5])
+    def test_rejects_caps_below_two(self, cap):
+        with pytest.raises(ValueError, match="cap must be at least 2"):
+            is_twist_bounded(THREE, cap)
+        with pytest.raises(ValueError, match="cap must be at least 2"):
+            insert_rotation(THREE, cap)
 
     def test_rotation_patterns_are_twist(self):
         # the cyclic shift through 1..n advances every point one step
