@@ -38,6 +38,7 @@ from .markov import (
     _minimal_period,
     _realize,
     fixed_point,
+    fundamental_loop,
     fundamental_loop_pprime,
     p_linear,
 )
@@ -48,7 +49,6 @@ from .patterns import (
     _flip_images,
     _half_turns,
     canonical,
-    flip,
     is_convergent,
     over_rotation_number,
 )
@@ -126,16 +126,18 @@ def _iter_orbits(
     images of the orbits of minimal period q (not canonicalized; one per
     canonical walk, so an orbit traced by two walks is yielded twice).  No
     point leaves this generator.  Without a crossing target the basic space
-    is walked; with one, the refined space, and only walks making exactly
-    `target` right-to-left transitions over the fixed point survive: branches
-    that already exceed the target, or can no longer reach it, are cut (at
-    most every other transition can cross back).
+    is walked, which never crosses the fixed point, so the goal is 0; with
+    one, the refined space.  Only walks making exactly the goal's number of
+    right-to-left transitions over the fixed point survive: branches that
+    already exceed it, or can no longer reach it, are cut (at most every
+    other transition can cross back).
     """
     if len(images) < 2:
         if q == 1:
             yield (1,)
         return
     space = _covering_space(images, target is not None)
+    goal = target or 0
     succ = space.succ
     succ_sets = space.succ_sets
     slopes = space.slopes
@@ -153,27 +155,26 @@ def _iter_orbits(
         while t >= 0:
             v = walk[t]
             if t == q - 1:
-                if s in succ_sets[v]:
-                    ok = True
-                    if target is not None:
-                        ncr = cr[t] + (1 if right[v] and not right[s] else 0)
-                        ok = ncr == target
-                    if ok and _canonical_rotation(walk, s):
-                        m = slopes[v]
-                        prefixes = list(zip(al, be))
-                        prefixes.append((m * al[t], m * be[t] + offsets[v]))
-                        res = _realize(space, s, prefixes)
-                        if res is not None and _minimal_period(res[1]) == q:
-                            # rank the forward orbit; the point of rank r maps
-                            # to the rank of its successor in time (a tuple of
-                            # a list, not of a generator: the latter raised the
-                            # twist benchmark's peak RSS by 3%)
-                            pts = res[1]
-                            order = sorted(range(q), key=pts.__getitem__)
-                            rank = [0] * q
-                            for r, k in enumerate(order):
-                                rank[k] = r + 1
-                            yield tuple([rank[(k + 1) % q] for k in order])
+                if (
+                    s in succ_sets[v]
+                    and cr[t] + (1 if right[v] and not right[s] else 0) == goal
+                    and _canonical_rotation(walk, s)
+                ):
+                    m = slopes[v]
+                    prefixes = list(zip(al, be))
+                    prefixes.append((m * al[t], m * be[t] + offsets[v]))
+                    res = _realize(space, s, prefixes)
+                    if res is not None and _minimal_period(res[1]) == q:
+                        # rank the forward orbit; the point of rank r maps to
+                        # the rank of its successor in time (a tuple of a
+                        # list, not of a generator: the latter raised the
+                        # twist benchmark's peak RSS by 3%)
+                        pts = res[1]
+                        order = sorted(range(q), key=pts.__getitem__)
+                        rank = [0] * q
+                        for r, k in enumerate(order):
+                            rank[k] = r + 1
+                        yield tuple([rank[(k + 1) % q] for k in order])
                 t -= 1
                 continue
             options = fsucc[v]
@@ -182,12 +183,9 @@ def _iter_orbits(
             while i < len(options):
                 u = options[i]
                 i += 1
-                if target is not None:
-                    ncr = cr[t] + (1 if right[v] and not right[u] else 0)
-                    if ncr > target or ncr + (q - t) // 2 < target:
-                        continue
-                else:
-                    ncr = 0
+                ncr = cr[t] + (1 if right[v] and not right[u] else 0)
+                if ncr > goal or ncr + (q - t) // 2 < goal:
+                    continue
                 idx[t] = i
                 m = slopes[v]
                 t += 1
@@ -211,7 +209,11 @@ def realize_loop(pattern: Pattern, loop) -> Orbit | Degenerate:
     point, with its exact minimal period, or Degenerate when the point lies
     on the base cycle and merely retraces part of it.
     """
-    space = _covering_space(pattern.images, False)
+    return _realize_orbit(pattern, _covering_space(pattern.images, False), loop)
+
+
+def _realize_orbit(pattern: Pattern, space, loop) -> Orbit | Degenerate:
+    """The body of `realize_loop`, for a closed walk of either space."""
     ids, prefixes = _compose(space, loop)
     res = _realize(space, ids[0], prefixes)
     if res is None:
@@ -339,7 +341,9 @@ def is_twist_bounded(pattern: Pattern, cap: int | None = None) -> NotTwist | Twi
     fixed point right-to-left exactly rho * period times, so the search walks
     the refined interval family with that exact crossing count.  Divergent
     patterns are never twist and get NotTwist directly.  The cap must be at
-    least 2; it defaults to three periods.
+    least 2, and, unless monotonicity already rules twist out, at least the
+    reduced denominator of the over-rotation number; it defaults to three
+    periods.
     """
     if pattern.period < 2:
         raise PatternError("twist verdicts need period at least 2")
@@ -361,46 +365,18 @@ def _twist_cached(images: tuple[int, ...], cap: int) -> NotTwist | TwistUpTo:
         return NotTwist()
     rho = over_rotation_number(pattern)
     step = rho.denominator
+    if cap < step:
+        # competitors have periods that are multiples of the denominator, so
+        # a smaller cap would search nothing and certify nothing
+        raise ValueError(
+            f"cap {cap} is below {step}, the denominator of the over-rotation "
+            f"number {rho}"
+        )
     for q in range(step, cap + 1, step):
         for orbit in _iter_orbits(images, q, target=int(rho * q)):
             if min(orbit, _flip_images(orbit)) != images:
                 return NotTwist()
     return TwistUpTo(cap)
-
-
-def _hits_left_endpoint_from_left(pattern: Pattern) -> bool:
-    """True when the left endpoint of the fixed-point interval is the image
-    of a point lying left of the fixed point."""
-    a, split = fixed_point(pattern)
-    pre = pattern.images.index(split) + 1
-    return pre < a
-
-
-def _inserted_walk(pattern: Pattern) -> tuple[list[int], list]:
-    """Vertex ids and forward orbit of the refined fundamental loop extended
-    by one Ir, Il passage after its single Il visit."""
-    space = _covering_space(pattern.images, True)
-    loop = list(fundamental_loop_pprime(pattern))
-    if loop.count("Il") != 1:
-        raise DegenerateRealizationError(
-            f"fundamental loop of {pattern} does not pass through Il exactly once"
-        )
-    j = loop.index("Il")
-    extended = loop[: j + 1] + ["Ir", "Il"] + loop[j + 1 :]
-    try:
-        ids, prefixes = _compose(space, extended)
-    except LoopError as exc:
-        raise DegenerateRealizationError(f"extended loop broke covering: {exc}") from None
-    res = _realize(space, ids[0], prefixes)
-    if res is None:
-        raise DegenerateRealizationError("extended loop composed to a translation")
-    _, pts = res
-    period = _minimal_period(pts)
-    if period != len(ids):
-        raise DegenerateRealizationError(
-            f"extended loop realized an orbit of period {period}, not {len(ids)}"
-        )
-    return ids, pts
 
 
 def insert_rotation(pattern: Pattern, cap: int | None = None) -> Orbit:
@@ -411,8 +387,11 @@ def insert_rotation(pattern: Pattern, cap: int | None = None) -> Orbit:
     one extra passage right-left around the fixed point, inserted after its
     single left-half visit.  The realized orbit has period n+2, over-rotation
     pair (k+1, n+2), and is never a doubling.  When the left endpoint of the
-    fixed-point interval is not hit from its own side, the construction runs
-    on the mirror pattern and the orbit is mirrored back.
+    fixed-point interval is not hit from its own side, the mirror of that
+    construction runs on the pattern itself: the loop starts at its right
+    end, the germ (n, L), and the passage left-right is inserted after its
+    single right-half visit.  DegenerateRealizationError is raised when the
+    extended loop does not realize an orbit of period n+2.
     """
     if pattern.period < 2:
         raise PatternError("insertion needs period at least 2")
@@ -426,23 +405,30 @@ def insert_rotation(pattern: Pattern, cap: int | None = None) -> Orbit:
     verdict = is_twist_bounded(pattern, cap)
     if not isinstance(verdict, TwistUpTo):
         raise ValueError(f"pattern {pattern} is not twist-verified")
-    space = _covering_space(pattern.images, True)
-    if _hits_left_endpoint_from_left(pattern):
-        ids, pts = _inserted_walk(pattern)
-    elif _hits_left_endpoint_from_left(flip(pattern)):
-        # the mirror's refined intervals are this pattern's in reverse order
-        ids, pts = _inserted_walk(flip(pattern))
-        last = len(space.labels) - 1
-        ids = [last - v for v in ids]
-        pts = [pattern.period + 1 - x for x in pts]
+    n = pattern.period
+    a, split = fixed_point(pattern)
+    loop = list(fundamental_loop_pprime(pattern))
+    if pattern.images.index(split) + 1 < a:
+        # the left endpoint of the fixed-point interval is hit from the left
+        half, other = "Il", "Ir"
     else:
-        raise ValueError(
-            f"neither endpoint of the fixed-point interval of {pattern} "
-            "is hit from its own side"
+        # the mirror image of the case above: start at the right end
+        germs, _ = fundamental_loop(pattern)
+        k = next(t for t, germ in enumerate(germs) if germ.point == n)
+        loop = loop[k:] + loop[:k]
+        half, other = "Ir", "Il"
+    if loop.count(half) != 1:
+        raise DegenerateRealizationError(
+            f"fundamental loop of {pattern} does not pass through {half} exactly once"
         )
-    return Orbit(
-        points=tuple(sorted(pts)),
-        period=len(pts),
-        itinerary=tuple(space.labels[v] for v in ids),
-        carrier=p_linear(pattern),
-    )
+    j = loop.index(half) + 1
+    extended = loop[:j] + [other, half] + loop[j:]
+    try:
+        orbit = _realize_orbit(pattern, _covering_space(pattern.images, True), extended)
+    except LoopError as exc:
+        raise DegenerateRealizationError(f"extended loop broke covering: {exc}") from None
+    if not isinstance(orbit, Orbit) or orbit.period != n + 2:
+        raise DegenerateRealizationError(
+            f"extended loop of {pattern} realized no orbit of period {n + 2}"
+        )
+    return orbit

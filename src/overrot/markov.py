@@ -148,8 +148,9 @@ class _Space(NamedTuple):
 
     Vertex v is the interval [lows[v], highs[v]] carrying the piece
     x -> slopes[v] * x + offsets[v]; succ[v] lists, ascending, the vertices
-    its image covers.  right[v] tells whether v lies right of the fixed point
-    (refined spaces only; None otherwise).
+    its image covers.  right[v] tells whether v lies right of the fixed point;
+    in the basic space, which is not split there, it is False everywhere, so
+    no walk ever crosses.
     """
 
     lows: tuple
@@ -159,7 +160,7 @@ class _Space(NamedTuple):
     succ: tuple
     succ_sets: tuple
     labels: tuple[str, ...]
-    right: tuple | None
+    right: tuple[bool, ...]
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +199,7 @@ def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
         succ=tuple(succ),
         succ_sets=tuple(frozenset(adj) for adj in succ),
         labels=tuple(labels),
-        right=tuple(lo >= a for lo, _ in bounds) if refined else None,
+        right=tuple(refined and lo >= a for lo, _ in bounds),
     )
 
 
@@ -338,17 +339,18 @@ def fundamental_loop_pprime(pattern: Pattern) -> tuple[str, ...]:
     """The fundamental loop over the refined intervals split at the fixed point.
 
     Interval J_i containing the fixed point a splits into Il = [i, a] and
-    Ir = [a, i+1]; all other intervals keep their J labels.  Convergent
-    patterns only.
+    Ir = [a, i+1]; all other intervals keep their J labels.  Each germ is
+    labelled by the refined interval holding its one-sided neighborhood.
+    Convergent patterns only.
     """
-    a, split = fixed_point(pattern)
-    germs, intervals = fundamental_loop(pattern)
-    labels = []
-    for germ, interval in zip(germs, intervals):
-        if interval != split:
-            labels.append(f"J{interval}")
-        elif germ.point < a:
-            labels.append("Il")
-        else:
-            labels.append("Ir")
-    return tuple(labels)
+    space = _covering_space(pattern.images, True)
+    bounds = tuple(zip(space.lows, space.highs, space.labels))
+    germs, _ = fundamental_loop(pattern)
+    return tuple(
+        next(
+            label
+            for lo, hi, label in bounds
+            if (lo <= point < hi if side == RIGHT else lo < point <= hi)
+        )
+        for point, side in germs
+    )

@@ -407,28 +407,27 @@ def _violation_key(v: dict):
 
 
 def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
-    """Run a suite's checker on every pattern of its periods, sharded over at
-    most one worker process per CPU."""
+    """Run a suite's checker on every pattern of its periods.
+
+    Each period's patterns are split by stride into one task per worker, with
+    at most one worker per CPU.  One worker runs its tasks in this process, so
+    caches and tracing see the work; more run them in a process pool.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    entry = SUITES[suite]
-    periods = range(entry.first_period, params["max_period"] + 1)
+    periods = range(SUITES[suite].first_period, params["max_period"] + 1)
     workers = min(jobs, os.cpu_count() or 1)
-    violations: list[dict] = []
+    tasks = [
+        (suite, period, offset, workers, tuple(params.items()))
+        for period in periods
+        for offset in range(workers)
+    ]
     if workers == 1:
-        for period in periods:
-            for pattern in enumerate_patterns(period):
-                violations.extend(entry.checker(pattern, params))
+        parts = list(map(_shard_worker, tasks))
     else:
-        tasks = [
-            (suite, period, offset, workers, tuple(params.items()))
-            for period in periods
-            for offset in range(workers)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_shard_worker, tasks):
-                violations.extend(part)
-    violations.sort(key=_violation_key)
+            parts = list(pool.map(_shard_worker, tasks))
+    violations = sorted((v for part in parts for v in part), key=_violation_key)
     return VerificationReport(
         suite=suite,
         params=tuple(params.items()),

@@ -140,6 +140,12 @@ class TestTwist:
         assert (code, out) == (2, "")
         assert "cap must be at least 2" in err
 
+    def test_cap_below_the_denominator_is_a_usage_error(self, capsys):
+        # rho = 1/3: a cap of 2 would search no period at all
+        code, out, err = run(capsys, "twist", "2 4 6 5 3 1", "--cap", "2")
+        assert (code, out) == (2, "")
+        assert "cap 2 is below 3" in err
+
 
 class TestEnumerate:
     def test_csv_shape(self, capsys):

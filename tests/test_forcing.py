@@ -18,6 +18,7 @@ from overrot import (
     TwistUpTo,
     canonical,
     compose_loop,
+    fixed_point,
     flip,
     forced_patterns,
     forces,
@@ -34,6 +35,8 @@ from overrot import (
     stefan,
     twist_monotone_check,
 )
+from overrot.forcing import _iter_orbits
+from overrot.patterns import _flip_images
 from overrot.verify import enumerate_patterns
 
 THREE = Pattern((2, 3, 1))
@@ -248,6 +251,23 @@ class TestSearchAgainstKernel:
                     expected.add(canonical(pattern_of_orbit(orbit)))
             assert forced_patterns(pattern, q) == expected, f"period {q}"
 
+    def test_crossing_target_search_finds_the_forced_patterns_of_that_count(self):
+        for n in range(2, 7):
+            for p in enumerate_patterns(n):
+                if not is_convergent(p):
+                    continue
+                for q in range(2, 9):
+                    forced = forced_patterns(p, q)
+                    for target in range(1, q // 2 + 1):
+                        found = {
+                            min(images, _flip_images(images))
+                            for images in _iter_orbits(p.images, q, target)
+                        }
+                        expected = {
+                            f.images for f in forced if over_rotation_pair(f).p == target
+                        }
+                        assert found == expected, (str(p), q, target)
+
     @pytest.mark.parametrize("pattern", CANONICAL_2_TO_5, ids=str)
     def test_spectrum_is_the_pairs_of_the_forced_sets(self, pattern):
         expected = {
@@ -365,6 +385,16 @@ class TestTwist:
         with pytest.raises(ValueError, match="cap must be at least 2"):
             insert_rotation(THREE, cap)
 
+    def test_caps_below_the_denominator_are_rejected(self):
+        # rho = 1/3, so competitors have periods 3, 6, ...; at cap 2 the
+        # search would be empty and the verdict vacuous
+        p = Pattern((2, 4, 6, 5, 3, 1))
+        with pytest.raises(ValueError, match="cap 2 is below 3"):
+            is_twist_bounded(p, 2)
+        assert is_twist_bounded(p, 3) == NotTwist()
+        with pytest.raises(ValueError, match="cap 2 is below 3"):
+            insert_rotation(p, 2)
+
     def test_rotation_patterns_are_twist(self):
         # the cyclic shift through 1..n advances every point one step
         for n in (4, 5, 6, 7):
@@ -399,6 +429,30 @@ class TestInsertRotation:
         assert not is_doubling(got)
         f = orbit.carrier
         assert {f(x) for x in orbit.points} == set(orbit.points)
+
+    def test_mirror_case_is_the_mirror_of_the_flip(self):
+        # patterns whose fixed-point interval is not hit at its left endpoint
+        # from the left build the mirror construction on themselves; it must
+        # agree point by point with the direct construction on the flip
+        mirrored = []
+        for n in range(2, 7):
+            for canon in enumerate_patterns(n):
+                for p in {canon, flip(canon)}:
+                    if not is_convergent(p) or over_rotation_number(p) >= Fraction(1, 2):
+                        continue
+                    if not isinstance(is_twist_bounded(p), TwistUpTo):
+                        continue
+                    a, split = fixed_point(p)
+                    if p.images.index(split) + 1 < a:
+                        continue
+                    mirrored.append(str(p))
+                    orbit = insert_rotation(p)
+                    other = insert_rotation(flip(p))
+                    assert orbit.points == tuple(n + 1 - x for x in reversed(other.points))
+                    swap = {"Il": "Ir", "Ir": "Il"}
+                    swap.update({f"J{i}": f"J{n - i}" for i in range(1, n)})
+                    assert orbit.itinerary == tuple(swap[label] for label in other.itinerary)
+        assert sorted(mirrored) == ["3 1 2", "4 1 2 3", "5 1 2 3 4", "5 4 2 1 3", "6 1 2 3 4 5"]
 
     def test_spiral_chain(self):
         orbit = insert_rotation(stefan(5))

@@ -14,6 +14,7 @@ from overrot import (
     fundamental_loop,
     fundamental_loop_pprime,
     germ_map,
+    is_convergent,
     markov_graph,
     p_linear,
     stefan,
@@ -150,6 +151,23 @@ class TestRefinedLoop:
     def test_divergent_is_rejected(self):
         with pytest.raises(DivergentPatternError):
             fundamental_loop_pprime(Pattern((3, 1, 4, 2)))
+
+    def test_labels_agree_with_the_germs_position_against_the_fixed_point(self):
+        # oracle: a germ in the split interval is labelled by which side of
+        # the fixed point its point lies on
+        def oracle(p):
+            a, split = fixed_point(p)
+            germs, intervals = fundamental_loop(p)
+            return tuple(
+                f"J{i}" if i != split else ("Il" if germ.point < a else "Ir")
+                for germ, i in zip(germs, intervals)
+            )
+
+        for n in range(2, 9):
+            for canon in enumerate_patterns(n):
+                for p in (canon, flip(canon)):
+                    if is_convergent(p):
+                        assert fundamental_loop_pprime(p) == oracle(p), str(p)
 
     def test_germs_pointing_at_the_fixed_point_stay_pointed_at_it(self):
         # for spiral patterns the germ toward the fixed point maps to a germ
