@@ -116,6 +116,22 @@ def _canonical_rotation(walk: list, s: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def _closing_rows(images: tuple[int, ...], refined: bool, s: int) -> list[list[int]]:
+    """The closing table of start vertex s in a covering space, row 0 only.
+
+    Row k maps each vertex v to a bitmask with bit c set when some walk of k
+    edges leads from v back to s through vertices >= s with exactly c
+    right-to-left crossings of the fixed point.  Row 0 is s alone with bit 0;
+    `_iter_orbits` appends row k from row k - 1 as its walks need it, so the
+    rows are shared by every walk length.  The cache is bounded: the rows of
+    every start vertex of every pattern a sweep meets would only add memory.
+    """
+    row = [0] * len(_covering_space(images, refined).succ)
+    row[s] = 1
+    return [row]
+
+
 def _iter_orbits(
     images: tuple[int, ...], q: int, target: int | None = None
 ) -> Iterator[tuple[int, ...]]:
@@ -128,24 +144,37 @@ def _iter_orbits(
     point leaves this generator.  Without a crossing target the basic space
     is walked, which never crosses the fixed point, so the goal is 0; with
     one, the refined space.  Only walks making exactly the goal's number of
-    right-to-left transitions over the fixed point survive: branches that
-    already exceed it, or can no longer reach it, are cut (at most every
-    other transition can cross back).
+    right-to-left transitions over the fixed point survive.  The table of
+    `_closing_rows` says exactly which vertices can still close the walk
+    with the crossings left, so every edge taken lies on a closed walk of
+    length q meeting the goal, and a start vertex without one is skipped.
     """
     if len(images) < 2:
         if q == 1:
             yield (1,)
         return
-    space = _covering_space(images, target is not None)
+    refined = target is not None
+    space = _covering_space(images, refined)
     goal = target or 0
     succ = space.succ
-    succ_sets = space.succ_sets
     slopes = space.slopes
     offsets = space.offsets
     right = space.right
     count = len(slopes)
     for s in range(count):
         fsucc = [tuple(u for u in adj if u >= s) for adj in succ]
+        rows = _closing_rows(images, refined, s)
+        while len(rows) <= q:
+            row = last = rows[-1]
+            # once a row equals the one before it, every later row does too
+            if len(rows) == 1 or last != rows[-2]:
+                row = [0] * count
+                for v in range(s, count):
+                    for u in fsucc[v]:
+                        row[v] |= last[u] << (right[v] and not right[u])
+            rows.append(row)
+        if not rows[q][s] >> goal & 1:
+            continue
         walk = [s] * q
         idx = [0] * q
         al: list = [1] * q
@@ -155,11 +184,7 @@ def _iter_orbits(
         while t >= 0:
             v = walk[t]
             if t == q - 1:
-                if (
-                    s in succ_sets[v]
-                    and cr[t] + (1 if right[v] and not right[s] else 0) == goal
-                    and _canonical_rotation(walk, s)
-                ):
+                if _canonical_rotation(walk, s):
                     m = slopes[v]
                     prefixes = list(zip(al, be))
                     prefixes.append((m * al[t], m * be[t] + offsets[v]))
@@ -178,13 +203,15 @@ def _iter_orbits(
                 t -= 1
                 continue
             options = fsucc[v]
+            closing = rows[q - t - 1]
             i = idx[t]
             moved = False
             while i < len(options):
                 u = options[i]
                 i += 1
                 ncr = cr[t] + (1 if right[v] and not right[u] else 0)
-                if ncr > goal or ncr + (q - t) // 2 < goal:
+                # bit goal - ncr of the closing row; none when ncr > goal
+                if not closing[u] << ncr >> goal & 1:
                     continue
                 idx[t] = i
                 m = slopes[v]

@@ -213,3 +213,38 @@ def test_criterion_9_reports_are_deterministic_and_notation_round_trips():
         "verification reports are byte-identical across runs, processes, and "
         "job counts, and pattern notation round-trips for all periods <= 8"
     )
+
+
+def test_criterion_10_twist_verdicts_hold_at_four_periods_through_period_9():
+    start = time.monotonic()
+    twist_counts = {}
+    for period in range(3, 10):
+        twist = []
+        for pattern in enumerate_patterns(period):
+            if not is_convergent(pattern):
+                continue
+            verdict = is_twist_bounded(pattern, 4 * period)
+            if period <= 8:
+                # a competitor of period in (3n, 4n] would turn a twist
+                # verdict at the default cap into a non-twist one
+                assert type(verdict) is type(is_twist_bounded(pattern)), str(pattern)
+            if isinstance(verdict, TwistUpTo):
+                twist.append(pattern)
+        twist_counts[period] = len(twist)
+        for pattern in twist:
+            if over_rotation_number(pattern) >= Fraction(1, 2):
+                continue
+            pair = over_rotation_pair(pattern)
+            inserted = pattern_of_orbit(insert_rotation(pattern, 4 * period))
+            bumped = OrpPair(pair.p + 1, period + 2)
+            assert over_rotation_pair(inserted) == bumped, str(pattern)
+            assert not is_doubling(inserted), str(pattern)
+    elapsed = time.monotonic() - start
+    assert twist_counts == {3: 1, 4: 2, 5: 3, 6: 3, 7: 9, 8: 8, 9: 19}
+    assert elapsed < 60.0, f"twist sweep at cap 4n took {elapsed:.1f}s"
+    _verdict(
+        "twist verdicts at cap 4n for every convergent pattern of period <= 9 "
+        "agree with the default cap 3n through period 8, and every twist "
+        "pattern below one half inserts a rotation into a non-doubling orbit "
+        "of pair (k+1, n+2)"
+    )

@@ -1,5 +1,6 @@
 """Exact orbit realization, forcing queries, twist verdicts, insertion."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,8 @@ from overrot import (
     stefan,
     twist_monotone_check,
 )
-from overrot.forcing import _iter_orbits
+from overrot.forcing import _closing_rows, _iter_orbits
+from overrot.markov import _covering_space
 from overrot.patterns import _flip_images
 from overrot.verify import enumerate_patterns
 
@@ -276,6 +278,43 @@ class TestSearchAgainstKernel:
             for f in forced_patterns(pattern, q)
         }
         assert orp_spectrum(pattern, 8) == expected
+
+
+CONVERGENT_2_TO_6 = [
+    p for n in range(2, 7) for p in enumerate_patterns(n) if is_convergent(p)
+]
+
+
+class TestClosingRows:
+    """The closing table that prunes the walk search, against brute force."""
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("pattern", CONVERGENT_2_TO_6, ids=str)
+    def test_rows_are_the_crossing_counts_of_closing_walks(self, pattern, refined):
+        depth = 8
+        space = _covering_space(pattern.images, refined)
+        # the search fills every start vertex's rows up to the walk length
+        list(_iter_orbits(pattern.images, depth, 0 if refined else None))
+        for s in range(len(space.succ)):
+
+            @functools.cache
+            def closes(v, k, c):
+                """Some k-edge walk v -> s through vertices >= s crosses c times."""
+                if k == 0:
+                    return v == s and c == 0
+                return any(
+                    closes(u, k - 1, c - (space.right[v] and not space.right[u]))
+                    for u in space.succ[v]
+                    if u >= s
+                )
+
+            rows = _closing_rows(pattern.images, refined, s)
+            for k in range(depth + 1):
+                for v in range(len(space.succ)):
+                    expected = sum(
+                        1 << c for c in range(k + 1) if v >= s and closes(v, k, c)
+                    )
+                    assert rows[k][v] == expected, (s, k, v)
 
 
 class TestForces:
