@@ -11,11 +11,13 @@ points stay inside the search; only `realize_loop` and `insert_rotation`
 return them.
 
 Two interval families are walked: the basic intervals of the pattern itself,
-and the refined family that splits the interval around the fixed point into a
-left and a right half.  The refined family supports counting right-to-left
-transitions over the fixed point, which equals the over-rotation count of any
-realized orbit and so allows searching for orbits of a prescribed
-over-rotation number only.
+and the refined family that splits every basic interval holding a fixed point
+at that point.  On each refined interval the map moves every point the same
+way, up (rising) or down (falling), so a walk's falling-to-rising transitions
+count the half-turns of the orbit it realizes: its over-rotation count, for
+divergent patterns as well as convergent ones.  Searching the refined family
+with a crossing target finds the orbits of one over-rotation pair only; the
+twist verdicts and the over-rotation spectra are such targeted searches.
 
 The covering spaces and the compose-and-realize kernel live in `markov`;
 this module owns the closed-walk search and the queries built on it.
@@ -47,7 +49,6 @@ from .patterns import (
     Pattern,
     PatternError,
     _flip_images,
-    _half_turns,
     canonical,
     is_convergent,
     over_rotation_number,
@@ -122,7 +123,7 @@ def _closing_rows(images: tuple[int, ...], refined: bool, s: int) -> list[list[i
 
     Row k maps each vertex v to a bitmask with bit c set when some walk of k
     edges leads from v back to s through vertices >= s with exactly c
-    right-to-left crossings of the fixed point.  Row 0 is s alone with bit 0;
+    falling-to-rising crossings.  Row 0 is s alone with bit 0;
     `_iter_orbits` appends row k from row k - 1 as its walks need it, so the
     rows are shared by every walk length.  The cache is bounded: the rows of
     every start vertex of every pattern a sweep meets would only add memory.
@@ -142,9 +143,10 @@ def _iter_orbits(
     images of the orbits of minimal period q (not canonicalized; one per
     canonical walk, so an orbit traced by two walks is yielded twice).  No
     point leaves this generator.  Without a crossing target the basic space
-    is walked, which never crosses the fixed point, so the goal is 0; with
-    one, the refined space.  Only walks making exactly the goal's number of
-    right-to-left transitions over the fixed point survive.  The table of
+    is walked, which never crosses, so the goal is 0; with one, the refined
+    space.  Only walks making exactly the goal's number of falling-to-rising
+    transitions survive, and every orbit yielded then has that many
+    half-turns: its over-rotation pair is (target, q).  The table of
     `_closing_rows` says exactly which vertices can still close the walk
     with the crossings left, so every edge taken lies on a closed walk of
     length q meeting the goal, and a start vertex without one is skipped.
@@ -317,18 +319,17 @@ def forces(a: Pattern, b: Pattern) -> bool:
     return target in _iter_forced_patterns(canonical(a).images, target.period)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _spectrum_cached(images: tuple[int, ...], cap: int) -> frozenset[OrpPair]:
-    pairs = set()
-    for q in range(2, cap + 1):
-        possible = q // 2
-        found: set[int] = set()
-        for orbit in _iter_orbits(images, q):
-            found.add(_half_turns(orbit))
-            if len(found) == possible:
-                break
-        pairs.update(OrpPair(p, q) for p in found)
-    return frozenset(pairs)
+    # an orbit's half-turn count is its crossing count in the refined space,
+    # so each pair asks the search for one orbit; the closing rows answer
+    # most pairs that are not forced before any walk starts
+    return frozenset(
+        OrpPair(p, q)
+        for q in range(2, cap + 1)
+        for p in range(1, q // 2 + 1)
+        if next(_iter_orbits(images, q, target=p), None) is not None
+    )
 
 
 def orp_spectrum(pattern: Pattern, cap: int) -> frozenset[OrpPair]:

@@ -7,7 +7,7 @@ walks in it are the raw material for orbit realization.
 
 This module owns the covering spaces and the compose-and-realize kernel:
 `_covering_space` builds the basic space and the space refined at the fixed
-point, `_compose` validates a closed walk and composes its pieces, and
+points, `_compose` validates a closed walk and composes its pieces, and
 `_realize` turns the compositions into an exact periodic orbit.  The public
 views (`markov_graph`, `fixed_point`) read the same spaces.  The closed-walk
 search and the forcing queries built on the kernel live in `forcing`.
@@ -148,9 +148,11 @@ class _Space(NamedTuple):
 
     Vertex v is the interval [lows[v], highs[v]] carrying the piece
     x -> slopes[v] * x + offsets[v]; succ[v] lists, ascending, the vertices
-    its image covers.  right[v] tells whether v lies right of the fixed point;
-    in the basic space, which is not split there, it is False everywhere, so
-    no walk ever crosses.
+    its image covers.  right[v] tells whether the map is falling on v, that
+    is, moves every point of v down; for a convergent pattern these are
+    exactly the vertices right of its fixed point.  In the basic space, which
+    is not split at the fixed points, it is False everywhere, so no walk ever
+    crosses.
     """
 
     lows: tuple
@@ -168,18 +170,23 @@ def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
     """The covering space of a pattern's pattern-linear map.
 
     Its vertices are the basic intervals J_i = [i, i+1] with the map's pieces.
-    Refined, the interval J_i holding the fixed point a is split into
-    Il = [i, a] and Ir = [a, i+1], both carrying the piece of J_i (convergent
-    patterns only).
+    Refined, every interval J_i holding a fixed point a is split into
+    [i, a] and [a, i+1], both carrying the piece of J_i.  No fixed point is
+    an integer, and a basic interval holds at most one, so the map's
+    displacement has one sign on each refined vertex: right[v] marks the
+    falling ones.  A convergent pattern has one split, labelled Il and Ir;
+    a divergent one labels the halves of J_i as Jil and Jir.
     """
     pattern = Pattern(images)
     f = p_linear(pattern)
-    a, split = fixed_point(pattern) if refined else (None, None)
+    points = f.fixed_points() if refined else []
+    splits = {int(a): a for a in points}
     bounds, labels, pieces = [], [], []
     for i in range(1, pattern.period):
-        if i == split:
+        if i in splits:
+            a = splits[i]
             bounds += [(Fraction(i), a), (a, Fraction(i + 1))]
-            labels += ["Il", "Ir"]
+            labels += ["Il", "Ir"] if len(points) == 1 else [f"J{i}l", f"J{i}r"]
             pieces += [f.piece(i)] * 2
         else:
             bounds.append((i, i + 1))
@@ -199,7 +206,11 @@ def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
         succ=tuple(succ),
         succ_sets=tuple(frozenset(adj) for adj in succ),
         labels=tuple(labels),
-        right=tuple(refined and lo >= a for lo, _ in bounds),
+        # the displacement m x + c - x at the midpoint, doubled
+        right=tuple(
+            refined and (m - 1) * (lo + hi) + 2 * c < 0
+            for (lo, hi), (m, c) in zip(bounds, pieces)
+        ),
     )
 
 
@@ -343,6 +354,7 @@ def fundamental_loop_pprime(pattern: Pattern) -> tuple[str, ...]:
     labelled by the refined interval holding its one-sided neighborhood.
     Convergent patterns only.
     """
+    fixed_point(pattern)  # raises unless convergent, of period >= 2
     space = _covering_space(pattern.images, True)
     bounds = tuple(zip(space.lows, space.highs, space.labels))
     germs, _ = fundamental_loop(pattern)

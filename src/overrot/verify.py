@@ -272,8 +272,11 @@ def _check_stefan_only(pattern: Pattern, params: dict) -> list[dict]:
 
 
 def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
-    """Structural side claims, each restricted to the range it is cheap on."""
-    n_max = params["max_period"]
+    """Structural side claims.  The two that hold for every period are
+    checked on the whole sweep; the divergent, twist and pair-stepping claims
+    need spectra, nd/nbs scans or twist verdicts, and stop at the period
+    params["claim_max_period"]."""
+    claim_max = params["claim_max_period"]
     cap = params["cap"]
     out = []
     m = pattern.period
@@ -302,7 +305,7 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
                 )
             )
 
-    if not convergent and m <= min(6, n_max):
+    if not convergent and m <= claim_max:
         spectrum = orp_spectrum(pattern, cap)
         report = nd_nbs(pattern, cap)
         for q in range(2, cap + 1):
@@ -327,7 +330,7 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
                     )
                 )
 
-    if convergent and m <= min(7, n_max):
+    if convergent and m <= claim_max:
         verdict = is_twist_bounded(pattern)
         if isinstance(verdict, TwistUpTo):
             if m > 2:
@@ -354,7 +357,7 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
                     )
                 )
 
-    if m <= min(7, n_max):
+    if m <= claim_max:
         rho = Fraction(pair.p, pair.q)
         if rho < Fraction(1, 2) and rho.denominator + 2 <= cap:
             bumped = OrpPair(rho.numerator + 1, rho.denominator + 2)
@@ -478,8 +481,10 @@ def verify_lemmas(n_max: int = 10, cap: int = 9, jobs: int = 1) -> VerificationR
     equivalent to division for convergent patterns; divergent patterns force
     (1,q) orbits and no-block-structure patterns at every period; twist
     patterns hit the fixed-point interval from inside and have clean
-    fundamental loops; and over-rotation pairs step down by (1,2)."""
+    fundamental loops; and over-rotation pairs step down by (1,2).  The
+    last three are checked through period min(8, n_max), which the report
+    states as claim_max_period."""
     if n_max < 2 or cap < 2:
         raise ValueError(f"need n_max >= 2 and cap >= 2, got {n_max}, {cap}")
-    params = {"max_period": n_max, "cap": cap}
+    params = {"max_period": n_max, "cap": cap, "claim_max_period": min(8, n_max)}
     return _run_suite("lemmas", params, jobs)

@@ -38,7 +38,7 @@ from overrot import (
 )
 from overrot.forcing import _closing_rows, _iter_orbits
 from overrot.markov import _covering_space
-from overrot.patterns import _flip_images
+from overrot.patterns import _flip_images, _half_turns
 from overrot.verify import enumerate_patterns
 
 THREE = Pattern((2, 3, 1))
@@ -315,6 +315,49 @@ class TestClosingRows:
                         1 << c for c in range(k + 1) if v >= s and closes(v, k, c)
                     )
                     assert rows[k][v] == expected, (s, k, v)
+
+
+def spectrum_by_enumeration(images: tuple[int, ...], cap: int) -> frozenset:
+    """The spectrum read off the exact-period orbits of the basic space.
+
+    For each period q it enumerates orbits until all q // 2 half-turn counts
+    have turned up, so a pair that is not forced costs a full enumeration.
+    The oracle of the crossing-target search behind `orp_spectrum`.
+    """
+    pairs = set()
+    for q in range(2, cap + 1):
+        possible = q // 2
+        found: set[int] = set()
+        for orbit in _iter_orbits(images, q):
+            found.add(_half_turns(orbit))
+            if len(found) == possible:
+                break
+        pairs.update(OrpPair(p, q) for p in found)
+    return frozenset(pairs)
+
+
+CANONICAL_2_TO_6 = [p for n in range(2, 7) for p in enumerate_patterns(n)]
+
+
+class TestRefinedCrossings:
+    """Crossings of the refined space count half-turns, divergent patterns
+    included, so targeted searches decide spectra."""
+
+    def test_every_targeted_orbit_has_the_target_half_turns(self):
+        yielded = 0
+        for p in (p for p in CANONICAL_2_TO_6 if p.period >= 3):
+            for q in range(2, 9):
+                for target in range(1, q // 2 + 1):
+                    for orbit in _iter_orbits(p.images, q, target):
+                        assert _half_turns(orbit) == target, (str(p), orbit)
+                        yielded += 1
+        # one orbit per canonical walk; the count keeps the check from
+        # passing on a search that yields nothing
+        assert yielded == 50126
+
+    def test_spectrum_equals_the_enumeration_oracle(self):
+        for p in CANONICAL_2_TO_6:
+            assert orp_spectrum(p, 8) == spectrum_by_enumeration(p.images, 8), str(p)
 
 
 class TestForces:

@@ -19,6 +19,7 @@ from overrot import (
     p_linear,
     stefan,
 )
+from overrot.markov import _covering_space
 from overrot.verify import enumerate_patterns
 
 
@@ -111,6 +112,33 @@ class TestFixedPoint:
                     continue
                 assert i < a < i + 1
                 assert p_linear(p)(a) == a
+
+
+class TestRefinedSpace:
+    def test_splits_at_every_fixed_point_and_marks_the_falling_halves(self):
+        for n in range(2, 8):
+            for p in enumerate_patterns(n):
+                f = p_linear(p)
+                space = _covering_space(p.images, True)
+                ends = set(space.lows) | set(space.highs)
+                assert ends == set(range(1, n + 1)) | set(f.fixed_points())
+                for lo, hi, right in zip(space.lows, space.highs, space.right):
+                    x = (Fraction(lo) + Fraction(hi)) / 2
+                    assert right == (f(x) < x), (str(p), lo, hi)
+                assert not any(_covering_space(p.images, False).right)
+                assert len(set(space.labels)) == len(space.labels)
+                split = [label for label in space.labels if not label[1:].isdigit()]
+                if is_convergent(p):
+                    assert split == ["Il", "Ir"], str(p)
+                else:
+                    assert len(split) == 2 * len(f.fixed_points()), str(p)
+
+    def test_divergent_labels(self):
+        # 3 1 4 2 has fixed points 5/3 in J1, 5/2 in J2 and 10/3 in J3; the
+        # map falls through 5/3 and 10/3 and rises through 5/2
+        space = _covering_space((3, 1, 4, 2), True)
+        assert space.labels == ("J1l", "J1r", "J2l", "J2r", "J3l", "J3r")
+        assert space.right == (False, True, True, False, False, True)
 
 
 class TestGerms:
