@@ -3,12 +3,12 @@
 The cycles of the pattern-linear map of A correspond to closed walks in its
 covering graph.  Composing the affine pieces along a closed walk gives an
 affine map of the start interval; its fixed point realizes a periodic orbit
-exactly, in rational arithmetic.  The search `_iter_orbits` enumerates closed
-walks of a given length, realizes each, and yields the pattern of each
-resulting orbit; every query (forced sets, forcing, spectra, twist verdicts,
-and the nd/nbs scans of `verify`) is a reduction over that stream.  Orbit
-points stay inside the search; only `realize_loop` and `insert_rotation`
-return them.
+exactly, as integer numerators over one denominator.  The search
+`_iter_orbits` enumerates closed walks of a given length, realizes each, and
+yields the pattern of each orbit, ranked on its numerators; every query
+(forced sets, forcing, spectra, twist verdicts, and the nd/nbs scans of
+`verify`) is a reduction over that stream.  Only `realize_loop` and
+`insert_rotation` return orbit points, as `Fraction`s.
 
 Two interval families are walked: the basic intervals of the pattern itself,
 and the refined family that splits every basic interval holding a fixed point
@@ -117,20 +117,29 @@ def _canonical_rotation(walk: list, s: int) -> bool:
     return True
 
 
+class _ClosingRows(list):
+    """The rows of one start vertex's closing table, with fsucc."""
+
+    __slots__ = ("fsucc",)
+
+
 @lru_cache(maxsize=64)
-def _closing_rows(images: tuple[int, ...], refined: bool, s: int) -> list[list[int]]:
+def _closing_rows(images: tuple[int, ...], refined: bool, s: int) -> _ClosingRows:
     """The closing table of start vertex s in a covering space, row 0 only.
 
     Row k maps each vertex v to a bitmask with bit c set when some walk of k
     edges leads from v back to s through vertices >= s with exactly c
     falling-to-rising crossings.  Row 0 is s alone with bit 0;
     `_iter_orbits` appends row k from row k - 1 as its walks need it, so the
-    rows are shared by every walk length.  The cache is bounded: the rows of
-    every start vertex of every pattern a sweep meets would only add memory.
+    rows are shared by every walk length; fsucc[v] lists the successors
+    u >= s of v, the only ones walks from s enter.  The cache is bounded: the
+    rows of every start of every pattern a sweep meets would only add memory.
     """
-    row = [0] * len(_covering_space(images, refined).succ)
-    row[s] = 1
-    return [row]
+    succ = _covering_space(images, refined).succ
+    rows = _ClosingRows([[0] * len(succ)])
+    rows[0][s] = 1
+    rows.fsucc = [tuple(u for u in adj if u >= s) for adj in succ]
+    return rows
 
 
 def _iter_orbits(
@@ -158,14 +167,13 @@ def _iter_orbits(
     refined = target is not None
     space = _covering_space(images, refined)
     goal = target or 0
-    succ = space.succ
     slopes = space.slopes
     offsets = space.offsets
     right = space.right
     count = len(slopes)
     for s in range(count):
-        fsucc = [tuple(u for u in adj if u >= s) for adj in succ]
         rows = _closing_rows(images, refined, s)
+        fsucc = rows.fsucc
         while len(rows) <= q:
             row = last = rows[-1]
             # once a row equals the one before it, every later row does too
@@ -192,10 +200,10 @@ def _iter_orbits(
                     prefixes.append((m * al[t], m * be[t] + offsets[v]))
                     res = _realize(space, s, prefixes)
                     if res is not None and _minimal_period(res[1]) == q:
-                        # rank the forward orbit; the point of rank r maps to
-                        # the rank of its successor in time (a tuple of a
-                        # list, not of a generator: the latter raised the
-                        # twist benchmark's peak RSS by 3%)
+                        # rank the forward orbit by its numerators; the point
+                        # of rank r maps to the rank of its successor in time
+                        # (a tuple of a list, not of a generator: the latter
+                        # raised the twist benchmark's peak RSS by 3%)
                         pts = res[1]
                         order = sorted(range(q), key=pts.__getitem__)
                         rank = [0] * q
@@ -247,10 +255,10 @@ def _realize_orbit(pattern: Pattern, space, loop) -> Orbit | Degenerate:
     res = _realize(space, ids[0], prefixes)
     if res is None:
         return Degenerate("the composed map is a translation without periodic points")
-    x, pts = res
-    period = _minimal_period(pts)
-    points = tuple(sorted(set(pts)))
-    if x.denominator == 1 and period != len(ids):
+    d, nums = res
+    period = _minimal_period(nums)
+    points = tuple(Fraction(n, d) for n in sorted(set(nums)))
+    if nums[0] % d == 0 and period != len(ids):
         return Degenerate(
             "the realized point lies on the base cycle and retraces it",
             points,

@@ -8,9 +8,11 @@ walks in it are the raw material for orbit realization.
 This module owns the covering spaces and the compose-and-realize kernel:
 `_covering_space` builds the basic space and the space refined at the fixed
 points, `_compose` validates a closed walk and composes its pieces, and
-`_realize` turns the compositions into an exact periodic orbit.  The public
-views (`markov_graph`, `fixed_point`) read the same spaces.  The closed-walk
-search and the forcing queries built on the kernel live in `forcing`.
+`_realize` turns the compositions into an exact periodic orbit: integer
+numerators over one denominator, as slopes and offsets are integers, so
+`Fraction` appears only at the API boundary.  The public views
+(`markov_graph`, `fixed_point`) read the same spaces.  The closed-walk search
+and the forcing queries built on the kernel live in `forcing`.
 """
 
 from __future__ import annotations
@@ -258,49 +260,34 @@ def _minimal_period(pts: list) -> int:
 def _realize(space: _Space, s: int, prefixes: list):
     """The periodic point of a closed walk from vertex s, with its orbit.
 
-    prefixes are the walk's prefix compositions, as `_compose` returns them.
-    Returns (x, forward_points), forward_points[t] being the image of x under
-    the first t pieces, or None when the composition is a pure translation
-    (which a covering walk cannot produce; kept as a guard).  The fixed point
-    always lies in the start interval because the composition maps part of
-    that interval onto all of it.
+    prefixes are the walk's integer prefix compositions, as `_compose`
+    returns them.  Returns (d, nums) with d > 0, nums[t] / d being the image
+    of the point under the first t pieces, or None when the composition is a
+    pure translation (which a covering walk cannot produce; kept as a guard).
+    The fixed point always lies in the start interval because the
+    composition maps part of that interval onto all of it.
     """
-    lo = space.lows[s]
-    hi = space.highs[s]
-    steps = prefixes[:-1]
+    lo, hi = space.lows[s], space.highs[s]
     alpha, beta = prefixes[-1]
     if alpha != 1:
-        x = Fraction(beta) / (1 - alpha)
-        if not lo <= x <= hi:
+        # the fixed point beta / (1 - alpha) is n / d, the sign moved into n
+        n, d = (beta, 1 - alpha) if alpha < 1 else (-beta, alpha - 1)
+        # lo <= n / d <= hi, cross-multiplied: a bound may be a Fraction
+        if lo.numerator * d > n * lo.denominator or n * hi.denominator > hi.numerator * d:
             raise DegenerateRealizationError(
-                f"fixed point {x} escaped its start interval [{lo}, {hi}]"
+                f"fixed point {Fraction(n, d)} escaped its start interval [{lo}, {hi}]"
             )
-        return x, [a * x + b for a, b in steps]
-    if beta != 0:
+    elif beta != 0:
         return None
-    # The identity: every point of the start interval is periodic, but two
-    # time-slices may agree at the chosen point and collapse its period.  They
-    # agree at finitely many cut points, so probing one point strictly between
-    # consecutive cuts finds a full-period representative whenever one exists.
-    q = len(steps)
-    x0 = (2 * Fraction(lo) + Fraction(hi)) / 3
-    pts0 = [a * x0 + b for a, b in steps]
-    if _minimal_period(pts0) == q:
-        return x0, pts0
-    cuts = {Fraction(lo), Fraction(hi)}
-    for i, (a1, b1) in enumerate(steps):
-        for a2, b2 in steps[i + 1 :]:
-            if a1 != a2:
-                w = Fraction(b2 - b1) / (a1 - a2)
-                if lo < w < hi:
-                    cuts.add(w)
-    ordered = sorted(cuts)
-    for left, right in zip(ordered, ordered[1:]):
-        x = (left + right) / 2
-        pts = [a * x + b for a, b in steps]
-        if _minimal_period(pts) == q:
-            return x, pts
-    return x0, pts0
+    else:
+        # The identity: every point of the start interval is periodic, and
+        # time-slices that agree at a point collapse its period.  All slopes
+        # are +-1, so slices of unequal slope agree only at multiples of 1/2,
+        # as are the interval's ends (a fixed point of a slope -1 piece): the
+        # point a third of the way in has the longest period there is.
+        x = (2 * Fraction(lo) + Fraction(hi)) / 3
+        n, d = x.numerator, x.denominator
+    return d, [a * n + b * d for a, b in prefixes[:-1]]
 
 
 def germ_map(pattern: Pattern, germ: Germ) -> Germ:

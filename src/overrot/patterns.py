@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class PatternError(ValueError):
@@ -154,33 +154,34 @@ def block_structures(pattern: Pattern) -> list[BlockDecomposition]:
     m > 1 such that the pattern maps each block onto another; the induced
     permutation of blocks is the factor.  Returned with block sizes ascending.
     """
-    images = pattern.images
+    n = pattern.period
+    return [
+        BlockDecomposition(n // size, size, Pattern(factor))
+        for size, factor in _block_factors(pattern.images)
+    ]
+
+
+def _block_factors(images: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(block size, factor images) of each block structure of one-line
+    images, sizes ascending; the rule behind `block_structures`."""
     n = len(images)
-    out = []
     for size in range(2, n // 2 + 1):
-        if n % size:
-            continue
-        k = n // size
-        sigma = []
-        for j in range(k):
-            targets = {(images[j * size + t] - 1) // size for t in range(size)}
-            if len(targets) != 1:
-                sigma = None
-                break
-            sigma.append(targets.pop() + 1)
-        if sigma is not None:
-            out.append(BlockDecomposition(k, size, Pattern(tuple(sigma))))
-    return out
+        if n % size == 0:
+            blocks = [(v - 1) // size for v in images]
+            factor = blocks[::size]
+            if blocks == [b for b in factor for _ in range(size)]:
+                yield size, tuple(b + 1 for b in factor)
 
 
 def has_division(pattern: Pattern) -> bool:
     """True when the two halves of {1..n} are swapped setwise (n even)."""
-    images = pattern.images
-    n = len(images)
-    if n % 2:
-        return False
-    half = n // 2
-    return all(images[i] > half for i in range(half))
+    return _has_division(pattern.images)
+
+
+def _has_division(images: tuple[int, ...]) -> bool:
+    """`has_division` on one-line images."""
+    half, odd = divmod(len(images), 2)
+    return not odd and all(images[i] > half for i in range(half))
 
 
 def is_doubling(pattern: Pattern) -> bool:

@@ -3,7 +3,8 @@
 Each suite enumerates every canonical pattern in a period range, checks a
 family of claims against the forcing machinery, and reports violations.  A
 passing report is a machine-checked certificate that the claims hold on the
-swept range; the sweeps are exact (rational arithmetic throughout), so a
+swept range; the sweeps are exact (orbits are ranked on integer numerators
+over one denominator, and `Fraction` appears only at the API boundary), so a
 violation is a genuine counterexample, not noise.
 """
 
@@ -28,7 +29,9 @@ from .markov import fixed_point, fundamental_loop_pprime
 from .orders import OrpPair, n_r, star_precedes
 from .patterns import (
     Pattern,
+    _block_factors,
     _flip_images,
+    _has_division,
     block_structures,
     canonical,
     has_division,
@@ -95,12 +98,12 @@ def _nd_nbs_cached(images: tuple[int, ...], cap: int):
     nbs = set()
     for q in range(3, cap + 1):
         found_nd = False
+        # orbit images are cyclic permutations by construction: no Pattern
         for orbit in _iter_orbits(images, q):
-            forced = Pattern(orbit)
-            if not found_nd and not has_division(forced):
+            if not found_nd and not _has_division(orbit):
                 found_nd = True
                 nd.add(q)
-            if not block_structures(forced):
+            if next(_block_factors(orbit), None) is None:
                 # no block structure rules out division too (a division is a
                 # two-block decomposition once the period exceeds 2)
                 nd.add(q)

@@ -248,3 +248,19 @@ def test_criterion_10_twist_verdicts_hold_at_four_periods_through_period_9():
         "pattern below one half inserts a rotation into a non-doubling orbit "
         "of pair (k+1, n+2)"
     )
+
+
+def test_criterion_11_period_9_patterns_certify_the_nd_nbs_claims_to_period_11():
+    # one process at one job, so the three suites share the nd/nbs scans
+    start = time.monotonic()
+    for sweep in (verify_forcing_order, verify_trichotomy, verify_refrem):
+        report = sweep(9, 11, jobs=1)
+        assert report.passed, (report.suite, report.violations[:5])
+    elapsed = time.monotonic() - start
+    assert elapsed < 45.0, f"period-9 nd/nbs sweeps took {elapsed:.1f}s"
+    _verdict(
+        "forcing descends the doubled order, the forced period sets form the "
+        "trichotomy, and no-division patterns force no-block-structure ones, "
+        "for all patterns of period <= 9 (20,160 of period 9) against "
+        "periods <= 11"
+    )

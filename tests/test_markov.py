@@ -1,5 +1,6 @@
 """Pattern-linear maps, covering graphs, and germ dynamics."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,10 @@ from overrot import (
     is_convergent,
     markov_graph,
     p_linear,
+    realize_loop,
     stefan,
 )
-from overrot.markov import _covering_space
+from overrot.markov import DegenerateRealizationError, _covering_space, _realize
 from overrot.verify import enumerate_patterns
 
 
@@ -210,3 +212,119 @@ class TestRefinedLoop:
                         continue
                     image = germ_map(p, Germ(point, side))
                     assert (image.side == "R") == (image.point < a)
+
+
+def _prefixes(space, ids):
+    """The prefix compositions (slope, offset) of the pieces along ids."""
+    out = [(1, 0)]
+    for v in ids:
+        a, b = out[-1]
+        out.append((space.slopes[v] * a, space.slopes[v] * b + space.offsets[v]))
+    return out
+
+
+def reference_realization(space, s, prefixes):
+    """The realization in Fraction arithmetic, the kernel's test oracle.
+
+    For a composition x -> alpha x + beta with alpha != 1 the periodic point
+    is x = beta / (1 - alpha), and the orbit is a_t x + b_t over the prefix
+    compositions (a_t, b_t); "escaped" when x leaves the start interval.  A
+    translation gives None.  For the identity, time-slices a_t x + b_t may
+    agree and collapse the period, so points between consecutive cut points,
+    where two slices agree, are probed for a full-period one after the point
+    a third of the way in.
+    """
+    lo, hi = Fraction(space.lows[s]), Fraction(space.highs[s])
+    steps = prefixes[:-1]
+    alpha, beta = prefixes[-1]
+    if alpha != 1:
+        x = Fraction(beta, 1 - alpha)
+        if not lo <= x <= hi:
+            return "escaped"
+        return [a * x + b for a, b in steps]
+    if beta != 0:
+        return None
+    cuts = {lo, hi}
+    for i, (a1, b1) in enumerate(steps):
+        for a2, b2 in steps[i + 1 :]:
+            if a1 != a2:
+                w = Fraction(b2 - b1, a1 - a2)
+                if lo < w < hi:
+                    cuts.add(w)
+    ordered = sorted(cuts)
+    probes = [(2 * lo + hi) / 3] + [(u + v) / 2 for u, v in zip(ordered, ordered[1:])]
+    orbits = [[a * x + b for a, b in steps] for x in probes]
+    return next((pts for pts in orbits if len(set(pts)) == len(steps)), orbits[0])
+
+
+def closed_walks(space, max_len):
+    """Every closed walk of at most max_len edges, from every start vertex."""
+    for s in range(len(space.succ)):
+        stack = [[s]]
+        while stack:
+            walk = stack.pop()
+            if s in space.succ_sets[walk[-1]]:
+                yield walk
+            if len(walk) < max_len:
+                stack.extend(walk + [u] for u in space.succ[walk[-1]])
+
+
+def check_kernel(space, s, prefixes):
+    """The kernel against the reference on one composition; returns the
+    reference's verdict."""
+    expected = reference_realization(space, s, prefixes)
+    if expected == "escaped":
+        with pytest.raises(DegenerateRealizationError):
+            _realize(space, s, prefixes)
+        return expected
+    res = _realize(space, s, prefixes)
+    if expected is None:
+        assert res is None
+        return "translation"
+    d, nums = res
+    assert type(d) is int and d > 0
+    assert all(type(n) is int for n in nums)
+    assert [Fraction(n, d) for n in nums] == expected
+    return "identity" if prefixes[-1] == (1, 0) else "affine"
+
+
+KERNEL_PATTERNS = [p for n in range(2, 6) for p in enumerate_patterns(n)]
+
+
+class TestIntegerKernel:
+    """`_realize` returns integer numerators over a positive denominator;
+    divided out, they are the points of the Fraction formula."""
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=str)
+    def test_matches_the_fraction_formula_on_every_closed_walk(self, pattern, refined):
+        space = _covering_space(pattern.images, refined)
+        seen = set()
+        for walk in closed_walks(space, 7):
+            seen.add(check_kernel(space, walk[0], _prefixes(space, walk)))
+        # a covering walk is never a translation, and its point never escapes
+        assert seen and seen <= {"affine", "identity"}
+
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_identity_walks_are_among_those_checked(self, refined):
+        space = _covering_space((2, 1), refined)
+        seen = {check_kernel(space, w[0], _prefixes(space, w)) for w in closed_walks(space, 7)}
+        assert "identity" in seen
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=str)
+    def test_raises_when_the_point_escapes_its_start_interval(self, pattern, refined):
+        # sequences that are not walks can put the point outside the start
+        # interval, which the kernel must refuse
+        space = _covering_space(pattern.images, refined)
+        seen = set()
+        for length in range(1, 5):
+            for ids in itertools.product(range(len(space.succ)), repeat=length):
+                seen.add(check_kernel(space, ids[0], _prefixes(space, ids)))
+        if pattern.period > 2:
+            assert "escaped" in seen
+
+    def test_identity_walk_of_the_two_cycle(self):
+        orbit = realize_loop(Pattern((2, 1)), (1, 1))
+        assert orbit.points == (Fraction(4, 3), Fraction(5, 3))
+        assert all(type(x) is Fraction for x in orbit.points)
