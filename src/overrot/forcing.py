@@ -304,7 +304,7 @@ def _iter_forced_patterns(images: tuple[int, ...], q: int) -> Iterator[Pattern]:
             yield Pattern(key)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _forced_cached(images: tuple[int, ...], q: int) -> frozenset[Pattern]:
     return frozenset(_iter_forced_patterns(images, q))
 
@@ -392,7 +392,7 @@ def is_twist_bounded(pattern: Pattern, cap: int | None = None) -> NotTwist | Twi
     return _twist_cached(canonical(pattern).images, cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _twist_cached(images: tuple[int, ...], cap: int) -> NotTwist | TwistUpTo:
     pattern = Pattern(images)
     if not is_convergent(pattern):

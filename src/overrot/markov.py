@@ -167,7 +167,7 @@ class _Space(NamedTuple):
     right: tuple[bool, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
     """The covering space of a pattern's pattern-linear map.
 

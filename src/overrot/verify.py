@@ -5,7 +5,9 @@ family of claims against the forcing machinery, and reports violations.  A
 passing report is a machine-checked certificate that the claims hold on the
 swept range; the sweeps are exact (orbits are ranked on integer numerators
 over one denominator, and `Fraction` appears only at the API boundary), so a
-violation is a genuine counterexample, not noise.
+violation is a genuine counterexample, not noise.  The nd/nbs scans go into
+one table per process that every cap and every suite reads, and the workers
+of a parallel sweep return their rows to it.
 """
 
 from __future__ import annotations
@@ -92,24 +94,14 @@ def enumerate_patterns(period: int) -> Iterator[Pattern]:
             yield Pattern(images)
 
 
-@lru_cache(maxsize=None)
-def _nd_nbs_cached(images: tuple[int, ...], cap: int):
-    nd = set()
-    nbs = set()
-    for q in range(3, cap + 1):
-        found_nd = False
-        # orbit images are cyclic permutations by construction: no Pattern
-        for orbit in _iter_orbits(images, q):
-            if not found_nd and not _has_division(orbit):
-                found_nd = True
-                nd.add(q)
-            if next(_block_factors(orbit), None) is None:
-                # no block structure rules out division too (a division is a
-                # two-block decomposition once the period exceeds 2)
-                nd.add(q)
-                nbs.add(q)
-                break
-    return frozenset(nd), frozenset(nbs)
+# canonical images -> (top, nd, nbs): periods 3..top are scanned, and bit q of
+# nd (nbs) is set when a no-division (no-block-structure) orbit of period q is
+# forced.  Unbounded: it is the state the suites of one process share.
+_ND_NBS: dict[tuple[int, ...], tuple[int, int, int]] = {}
+
+
+def _periods(bits: int, cap: int) -> frozenset[int]:
+    return frozenset(q for q in range(3, cap + 1) if bits >> q & 1)
 
 
 def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
@@ -118,8 +110,21 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
     rep = canonical(pattern)
-    nd, nbs = _nd_nbs_cached(rep.images, cap)
-    return NdNbsReport(pattern=rep, cap=cap, nd=nd, nbs=nbs)
+    top, nd, nbs = _ND_NBS.get(rep.images, (2, 0, 0))
+    for q in range(top + 1, cap + 1):
+        # orbit images are cyclic permutations by construction: no Pattern
+        for orbit in _iter_orbits(rep.images, q):
+            if not nd >> q & 1 and not _has_division(orbit):
+                nd |= 1 << q
+            if next(_block_factors(orbit), None) is None:
+                # no block structure rules out division too (a division is a
+                # two-block decomposition once the period exceeds 2)
+                nd |= 1 << q
+                nbs |= 1 << q
+                break
+    # the scan at q does not depend on the cap, so every cap shares the row
+    _ND_NBS[rep.images] = (max(top, cap), nd, nbs)
+    return NdNbsReport(pattern=rep, cap=cap, nd=_periods(nd, cap), nbs=_periods(nbs, cap))
 
 
 def _violation(pattern: Pattern, claim: str, witness: str) -> dict:
@@ -165,7 +170,7 @@ def _truncated_n_r(r: int, cap: int) -> frozenset[int]:
     return frozenset(s for s in n_r(r, cap) if 3 <= s <= cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _admissible_shapes(cap: int) -> frozenset:
     """The nd/nbs set pairs the trichotomy allows at this cap: both empty,
     both equal to a principal down-set, or nd one even step wider than nbs."""
@@ -397,15 +402,16 @@ SUITES = {
 }
 
 
-def _shard_worker(task) -> list[dict]:
+def _shard_worker(task) -> tuple[list[dict], dict]:
+    """One shard's violations, and the nd/nbs rows of its (canonical) patterns."""
     suite, period, offset, stride, params = task
     checker = SUITES[suite].checker
-    out = []
-    for i, pattern in enumerate(enumerate_patterns(period)):
-        if i % stride != offset:
-            continue
+    out, rows = [], {}
+    for pattern in itertools.islice(enumerate_patterns(period), offset, None, stride):
         out.extend(checker(pattern, dict(params)))
-    return out
+        if pattern.images in _ND_NBS:
+            rows[pattern.images] = _ND_NBS[pattern.images]
+    return out, rows
 
 
 def _violation_key(v: dict):
@@ -417,7 +423,11 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
 
     Each period's patterns are split by stride into one task per worker, with
     at most one worker per CPU.  One worker runs its tasks in this process, so
-    caches and tracing see the work; more run them in a process pool.
+    caches and tracing see the work; more run them in a process pool.  Either
+    way the shards' nd/nbs rows are merged into this process's table, keeping
+    the longer scan.  A pool started by fork (the Linux default before Python
+    3.14) inherits the table, so later suites reuse the scans; under another
+    start method they rescan, and the reports are the same.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -433,7 +443,10 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_shard_worker, tasks))
-    violations = sorted((v for part in parts for v in part), key=_violation_key)
+    for _, rows in parts:
+        for images, row in rows.items():
+            _ND_NBS[images] = max(row, _ND_NBS.get(images, row))
+    violations = sorted((v for part, _ in parts for v in part), key=_violation_key)
     return VerificationReport(
         suite=suite,
         params=tuple(params.items()),

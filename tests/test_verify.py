@@ -12,9 +12,12 @@ from overrot import (
     NdNbsReport,
     Pattern,
     VerificationReport,
+    block_structures,
     canonical,
     enumerate_patterns,
     flip,
+    forced_patterns,
+    has_division,
     nd_nbs,
     verify_forcing_order,
     verify_lemmas,
@@ -208,3 +211,65 @@ class TestSuites:
         assert not report.passed
         assert report.to_dict()["pass"] is False
         assert len(report.to_dict()["violations"]) == 2
+
+
+def small_patterns(max_period: int):
+    return [p for n in range(2, max_period + 1) for p in enumerate_patterns(n)]
+
+
+class TestNdNbsTable:
+    """The one nd/nbs table a process keeps: rows are shared across caps and
+    filled from the workers of a parallel sweep."""
+
+    def test_matches_the_definition(self, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        for p in small_patterns(6):
+            forced = {q: forced_patterns(p, q) for q in range(3, 9)}
+            report = nd_nbs(p, 8)
+            assert report.nd == {
+                q for q, fs in forced.items() if any(not has_division(f) for f in fs)
+            }, p
+            assert report.nbs == {
+                q for q, fs in forced.items() if any(not block_structures(f) for f in fs)
+            }, p
+
+    def test_a_smaller_cap_reuses_a_larger_scan(self, monkeypatch):
+        patterns = small_patterns(5) + [Pattern((4, 3, 5, 6, 1, 2))]
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        fresh = [nd_nbs(p, 7) for p in patterns]
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        for p in patterns:
+            nd_nbs(p, 10)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a cap-7 query rescanned")
+
+        monkeypatch.setattr(overrot.verify, "_iter_orbits", no_scan)
+        assert [nd_nbs(p, 7) for p in patterns] == fresh
+
+    def test_extending_a_row_equals_a_fresh_scan(self, monkeypatch):
+        patterns = small_patterns(5) + [Pattern((4, 3, 5, 6, 1, 2))]
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        fresh = [nd_nbs(p, 10) for p in patterns]
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        for p in patterns:
+            nd_nbs(p, 7)
+        assert [nd_nbs(p, 10) for p in patterns] == fresh
+
+    def test_a_parallel_sweep_fills_this_process_table(self, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        assert verify_trichotomy(6, 8, jobs=2).passed
+        for p in small_patterns(6):
+            assert overrot.verify._ND_NBS[p.images][0] >= 8, p
+
+        runs = (
+            lambda jobs: verify_forcing_order(6, 8, jobs=jobs),
+            lambda jobs: verify_refrem(6, 8, jobs=jobs),
+            lambda jobs: verify_stefan_only(6, jobs=jobs),
+        )
+        reused = [json.dumps(run(2).to_dict()) for run in runs]
+        fresh = []
+        for run in runs:
+            monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+            fresh.append(json.dumps(run(1).to_dict()))
+        assert reused == fresh
