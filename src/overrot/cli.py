@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 from .forcing import (
     LoopError,
@@ -130,6 +131,8 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.period < 2:
+        raise ValueError(f"period must be at least 2, got {args.period}")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         [
@@ -193,6 +196,7 @@ def _add_pattern_argument(parser, name="pattern") -> None:
     parser.add_argument(name, help="pattern in one-line notation, e.g. '2 3 1'")
 
 
+@lru_cache(maxsize=1)  # built by the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overrot",

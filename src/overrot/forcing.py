@@ -351,18 +351,15 @@ def twist_monotone_check(pattern: Pattern) -> bool:
     """Necessary twist condition: on either side of the fixed point, points
     mapping to a common side keep their distance order from the fixed point."""
     a, _ = fixed_point(pattern)
-    n = pattern.period
-    for u in range(1, n + 1):
-        fu = pattern.image(u)
-        for v in range(1, n + 1):
-            if u == v:
+    # signed distances x - a scaled by a's denominator: integers with the
+    # same signs and the same order of absolute values
+    dist = [x * a.denominator - a.numerator for x in range(pattern.period + 1)]
+    moves = [(dist[u], dist[fu]) for u, fu in enumerate(pattern.images, 1)]
+    for du, dfu in moves:
+        for dv, dfv in moves:
+            if du == dv or (du < 0) != (dv < 0) or (dfu < 0) != (dfv < 0):
                 continue
-            if (u < a) != (v < a):
-                continue
-            fv = pattern.image(v)
-            if (fu < a) != (fv < a):
-                continue
-            if abs(u - a) > abs(v - a) and not (abs(fu - a) > abs(fv - a)):
+            if abs(du) > abs(dv) and not abs(dfu) > abs(dfv):
                 return False
     return True
 

@@ -13,6 +13,7 @@ of a parallel sweep return their rows to it.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -402,9 +403,17 @@ SUITES = {
 }
 
 
+def _merge_rows(rows: dict) -> None:
+    """Merge nd/nbs rows into this process's table, keeping the longer scan."""
+    for images, row in rows.items():
+        _ND_NBS[images] = max(row, _ND_NBS.get(images, row))
+
+
 def _shard_worker(task) -> tuple[list[dict], dict]:
-    """One shard's violations, and the nd/nbs rows of its (canonical) patterns."""
-    suite, period, offset, stride, params = task
+    """One shard's violations, and the nd/nbs rows of its (canonical) patterns.
+    The rows the task carries are merged into the table first."""
+    suite, period, offset, stride, params, known = task
+    _merge_rows(known)
     checker = SUITES[suite].checker
     out, rows = [], {}
     for pattern in itertools.islice(enumerate_patterns(period), offset, None, stride):
@@ -423,18 +432,23 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
 
     Each period's patterns are split by stride into one task per worker, with
     at most one worker per CPU.  One worker runs its tasks in this process, so
-    caches and tracing see the work; more run them in a process pool.  Either
-    way the shards' nd/nbs rows are merged into this process's table, keeping
-    the longer scan.  A pool started by fork (the Linux default before Python
-    3.14) inherits the table, so later suites reuse the scans; under another
-    start method they rescan, and the reports are the same.
+    caches and tracing see the work; more run them in a process pool.  A pool
+    started by fork inherits this process's nd/nbs table; under any other
+    start method (forkserver, spawn) each task carries the table's rows of
+    its period.  Either way the workers start from the table, and the shards'
+    rows are merged back into it, keeping the longer scan: later suites reuse
+    the scans of earlier ones.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     periods = range(SUITES[suite].first_period, params["max_period"] + 1)
     workers = min(jobs, os.cpu_count() or 1)
+    # a fork-started pool has the rows already; resent, they cost worker memory
+    carry = workers > 1 and multiprocessing.get_start_method() != "fork"
     tasks = [
-        (suite, period, offset, workers, tuple(params.items()))
+        (suite, period, offset, workers, tuple(params.items()),
+         {images: row for images, row in _ND_NBS.items() if len(images) == period}
+         if carry else {})
         for period in periods
         for offset in range(workers)
     ]
@@ -444,8 +458,7 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_shard_worker, tasks))
     for _, rows in parts:
-        for images, row in rows.items():
-            _ND_NBS[images] = max(row, _ND_NBS.get(images, row))
+        _merge_rows(rows)
     violations = sorted((v for part, _ in parts for v in part), key=_violation_key)
     return VerificationReport(
         suite=suite,

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from overrot.cli import main
+from overrot.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -184,6 +184,11 @@ class TestEnumerate:
         for row in csv.DictReader(io.StringIO(out)):
             assert str(parse_pattern(row["pattern"])) == row["pattern"]
 
+    def test_period_below_two_writes_nothing(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--period", "1")
+        assert (code, out) == (2, "")
+        assert "period must be at least 2" in err
+
 
 class TestVerify:
     def test_json_report(self, capsys):
@@ -236,3 +241,36 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process and reuses it."""
+
+    SEQUENCE = [
+        ["spectrum", "3 1 4 2", "--cap", "6"],
+        ["verify", "trichotomy", "--max-period", "5", "--cap", "7"],
+        ["twist", "2 3 1", "--cap", "three"],  # argparse: SystemExit 2
+        ["twist", "2 4 6 5 3 1", "--cap", "2"],  # caught ValueError: exit 2
+        ["spectrum", "3 1 4 2", "--cap", "6"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_a_reused_parser_matches_a_fresh_one(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            _build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        _build_parser.cache_clear()
+        reused = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.SEQUENCE) - 1)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 2, 2, 0]

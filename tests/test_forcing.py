@@ -483,6 +483,33 @@ class TestTwist:
             images = tuple(range(2, n + 1)) + (1,)
             assert isinstance(is_twist_bounded(Pattern(images)), TwistUpTo)
 
+    def test_monotone_check_agrees_with_the_fraction_oracle(self):
+        for n in range(2, 9):
+            for canon in enumerate_patterns(n):
+                for p in (canon, flip(canon)):
+                    if is_convergent(p):
+                        assert twist_monotone_check(p) == monotone_by_fractions(p), str(p)
+
+
+def monotone_by_fractions(pattern: Pattern) -> bool:
+    """The monotonicity condition compared on `Fraction` distances to the
+    fixed point; the oracle of `twist_monotone_check`."""
+    a, _ = fixed_point(pattern)
+    n = pattern.period
+    for u in range(1, n + 1):
+        fu = pattern.image(u)
+        for v in range(1, n + 1):
+            if u == v:
+                continue
+            if (u < a) != (v < a):
+                continue
+            fv = pattern.image(v)
+            if (fu < a) != (fv < a):
+                continue
+            if abs(u - a) > abs(v - a) and not (abs(fu - a) > abs(fv - a)):
+                return False
+    return True
+
 
 class TestInsertRotation:
     def test_three_cycle_insertion(self):

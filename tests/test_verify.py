@@ -3,6 +3,10 @@
 import inspect
 import itertools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -273,3 +277,29 @@ class TestNdNbsTable:
             monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
             fresh.append(json.dumps(run(1).to_dict()))
         assert reused == fresh
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver", "fork"])
+    def test_workers_start_from_the_table_under_any_start_method(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        # a row no scan would write (nd = {3}, nbs empty breaks the
+        # trichotomy): a worker that reads it reports 2 3 1, a rescan does not
+        script = (
+            "import json, multiprocessing\n"
+            "import overrot.verify as v\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "v._ND_NBS[(2, 3, 1)] = (9, 1 << 3, 0)\n"
+            "print(json.dumps(v.verify_trichotomy(7, 9, jobs=2).to_dict()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(overrot.verify.__file__))
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        report = json.loads(run.stdout)
+        assert [v["pattern"] for v in report["violations"]] == ["2 3 1"]
