@@ -13,7 +13,6 @@ of a parallel sweep return their rows to it.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -432,23 +431,19 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
 
     Each period's patterns are split by stride into one task per worker, with
     at most one worker per CPU.  One worker runs its tasks in this process, so
-    caches and tracing see the work; more run them in a process pool.  A pool
-    started by fork inherits this process's nd/nbs table; under any other
-    start method (forkserver, spawn) each task carries the table's rows of
-    its period.  Either way the workers start from the table, and the shards'
-    rows are merged back into it, keeping the longer scan: later suites reuse
-    the scans of earlier ones.
+    caches and tracing see the work; more run them in a process pool.  Each
+    task carries this process's nd/nbs rows of its period, so the workers
+    start from the table under any start method (fork, forkserver, spawn),
+    and the shards' rows are merged back into it, keeping the longer scan:
+    later suites reuse the scans of earlier ones.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     periods = range(SUITES[suite].first_period, params["max_period"] + 1)
     workers = min(jobs, os.cpu_count() or 1)
-    # a fork-started pool has the rows already; resent, they cost worker memory
-    carry = workers > 1 and multiprocessing.get_start_method() != "fork"
     tasks = [
         (suite, period, offset, workers, tuple(params.items()),
-         {images: row for images, row in _ND_NBS.items() if len(images) == period}
-         if carry else {})
+         {images: row for images, row in _ND_NBS.items() if len(images) == period})
         for period in periods
         for offset in range(workers)
     ]
