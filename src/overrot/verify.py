@@ -7,7 +7,9 @@ swept range; the sweeps are exact (orbits are ranked on integer numerators
 over one denominator, and `Fraction` appears only at the API boundary), so a
 violation is a genuine counterexample, not noise.  The nd/nbs scans go into
 one table per process that every cap and every suite reads, and the workers
-of a parallel sweep return their rows to it.
+of a parallel sweep return their rows to it after each period.  A row is
+closed under forcing, so an nd/nbs certificate rests on the walk search plus
+transitivity of forcing (Baldwin 1987; Alseda, Llibre & Misiurewicz 2.6).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,21 +109,33 @@ def _periods(bits: int, cap: int) -> frozenset[int]:
 
 def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
     """Scan periods 3..cap for forced no-division / no-block-structure
-    patterns; the report is for the canonical representative."""
+    patterns; the report is for the canonical representative.  A bit rests
+    on the walk search plus transitivity of forcing (Baldwin, Discrete Math.
+    67, 1987), as the P-linear map exhibits exactly the forced patterns
+    (Alseda, Llibre & Misiurewicz, Combinatorial Dynamics and Entropy in
+    Dimension One, 2.6): an nd/nbs orbit found brings its pattern's row along,
+    so the row gets only bits a plain scan would find, with fewer scans."""
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
     rep = canonical(pattern)
     top, nd, nbs = _ND_NBS.get(rep.images, (2, 0, 0))
     for q in range(top + 1, cap + 1):
+        # no block structure rules out division too (a division is a two-block
+        # decomposition once the period exceeds 2), so an nbs bit answers q
+        if nbs >> q & 1:
+            continue
         # orbit images are cyclic permutations by construction: no Pattern
         for orbit in _iter_orbits(rep.images, q):
-            if not nd >> q & 1 and not _has_division(orbit):
-                nd |= 1 << q
-            if next(_block_factors(orbit), None) is None:
-                # no block structure rules out division too (a division is a
-                # two-block decomposition once the period exceeds 2)
-                nd |= 1 << q
-                nbs |= 1 << q
+            no_bs = next(_block_factors(orbit), None) is None
+            if not no_bs and (nd >> q & 1 or _has_division(orbit)):
+                continue
+            # its pattern B is forced, and so is all B forces: OR in B's row,
+            # up to the periods that both rows cover
+            b_top, b_nd, b_nbs = _ND_NBS.get(min(orbit, _flip_images(orbit)), (2, 0, 0))
+            mask = (2 << min(b_top, cap)) - 1
+            nd |= 1 << q | b_nd & mask
+            nbs |= no_bs << q | b_nbs & mask
+            if nbs >> q & 1:
                 break
     # the scan at q does not depend on the cap, so every cap shares the row
     _ND_NBS[rep.images] = (max(top, cap), nd, nbs)
@@ -137,12 +152,12 @@ def _check_forcing_order(pattern: Pattern, params: dict) -> list[dict]:
     no-block-structure."""
     cap = params["cap"]
     m = pattern.period
-    report = nd_nbs(pattern, cap)
     out = []
     no_div = not has_division(pattern)
     no_bs = not block_structures(pattern)
     if not (no_div or no_bs):
         return out
+    report = nd_nbs(pattern, cap)
     for s in range(3, cap + 1):
         if not star_precedes(m, s):
             continue
@@ -429,36 +444,34 @@ def _violation_key(v: dict):
 def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
     """Run a suite's checker on every pattern of its periods.
 
-    Each period's patterns are split by stride into one task per worker, with
-    at most one worker per CPU.  One worker runs its tasks in this process, so
-    caches and tracing see the work; more run them in a process pool.  Each
-    task carries this process's nd/nbs rows of its period, so the workers
-    start from the table under any start method (fork, forkserver, spawn),
-    and the shards' rows are merged back into it, keeping the longer scan:
-    later suites reuse the scans of earlier ones.
+    Periods go one at a time, lowest first, and each period's patterns are
+    split by stride into one task per worker, with at most one worker per CPU.
+    One worker runs its tasks in this process, so caches and tracing see the
+    work; more run them in one process pool per suite.  Each task carries
+    this process's nd/nbs rows of its period and every lower one, so the
+    workers start from the table under any start method (fork, forkserver,
+    spawn), and the shards' rows are merged back after each period, keeping
+    the longer scan: later periods and suites reuse the earlier scans.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     periods = range(SUITES[suite].first_period, params["max_period"] + 1)
     workers = min(jobs, os.cpu_count() or 1)
-    tasks = [
-        (suite, period, offset, workers, tuple(params.items()),
-         {images: row for images, row in _ND_NBS.items() if len(images) == period})
-        for period in periods
-        for offset in range(workers)
-    ]
-    if workers == 1:
-        parts = list(map(_shard_worker, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_shard_worker, tasks))
-    for _, rows in parts:
-        _merge_rows(rows)
-    violations = sorted((v for part, _ in parts for v in part), key=_violation_key)
+    violations = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for period in periods:
+            known = {images: row for images, row in _ND_NBS.items() if len(images) <= period}
+            tasks = [
+                (suite, period, offset, workers, tuple(params.items()), known)
+                for offset in range(workers)
+            ]
+            for part, rows in (pool.map if pool else map)(_shard_worker, tasks):
+                violations.extend(part)
+                _merge_rows(rows)
     return VerificationReport(
         suite=suite,
         params=tuple(params.items()),
-        violations=tuple(violations),
+        violations=tuple(sorted(violations, key=_violation_key)),
     )
 
 
@@ -508,7 +521,7 @@ def verify_lemmas(n_max: int = 10, cap: int = 9, jobs: int = 1) -> VerificationR
     fundamental loops; and over-rotation pairs step down by (1,2).  The
     last three are checked through period min(8, n_max), which the report
     states as claim_max_period."""
-    if n_max < 2 or cap < 2:
-        raise ValueError(f"need n_max >= 2 and cap >= 2, got {n_max}, {cap}")
+    if n_max < 2 or cap < 3:
+        raise ValueError(f"need n_max >= 2 and cap >= 3, got {n_max}, {cap}")
     params = {"max_period": n_max, "cap": cap, "claim_max_period": min(8, n_max)}
     return _run_suite("lemmas", params, jobs)

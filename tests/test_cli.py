@@ -225,6 +225,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "stefan-only takes no --cap" in err
 
+    def test_lemmas_cap_below_three_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "lemmas", "--max-period", "3", "--cap", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "cap >= 3" in err
+
     def test_unknown_suite_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])

@@ -29,6 +29,8 @@ from overrot import (
     verify_stefan_only,
     verify_trichotomy,
 )
+from overrot.forcing import _iter_orbits
+from overrot.patterns import _block_factors, _has_division
 
 
 def brute_force_canonical_count(n: int) -> int:
@@ -157,6 +159,15 @@ class TestSuites:
             verify_stefan_only(2)
         with pytest.raises(ValueError):
             verify_lemmas(5, 8, jobs=0)
+
+    @pytest.mark.parametrize("n_max", [3, 4])
+    def test_lemmas_rejects_a_cap_below_three_before_it_sweeps(self, n_max, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before the cap was checked")
+
+        monkeypatch.setattr(overrot.verify, "_run_suite", no_sweep)
+        with pytest.raises(ValueError, match="cap >= 3"):
+            verify_lemmas(n_max, 2)
 
     def test_jobs_do_not_change_the_report(self):
         serial = verify_trichotomy(5, 8, jobs=1)
@@ -303,3 +314,106 @@ class TestNdNbsTable:
         )
         report = json.loads(run.stdout)
         assert [v["pattern"] for v in report["violations"]] == ["2 3 1"]
+
+
+def plain_nd_nbs(images, cap):
+    """The nd/nbs scan without the table: every period 3..cap, stopping each
+    at its first no-block-structure orbit."""
+    nd = nbs = 0
+    for q in range(3, cap + 1):
+        for orbit in _iter_orbits(images, q):
+            if not nd >> q & 1 and not _has_division(orbit):
+                nd |= 1 << q
+            if next(_block_factors(orbit), None) is None:
+                nd |= 1 << q
+                nbs |= 1 << q
+                break
+    return nd, nbs
+
+
+CLOSURE_CAP = 10
+
+
+@pytest.fixture(scope="module")
+def plain_rows():
+    return {
+        p.images: (CLOSURE_CAP, *plain_nd_nbs(p.images, CLOSURE_CAP))
+        for p in small_patterns(8)
+    }
+
+
+class TestClosureAgainstPlainScan:
+    """Rows closed under forcing equal the plain scan's on every canonical
+    pattern of periods 2-8 at cap 10, whatever the table holds beforehand."""
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_from_an_empty_table(self, plain_rows, order, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        for p in small_patterns(8)[::order]:
+            nd_nbs(p, CLOSURE_CAP)
+        assert overrot.verify._ND_NBS == plain_rows
+
+    def test_from_the_full_table(self, plain_rows, monkeypatch):
+        table = dict(plain_rows)
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", table)
+        for images, row in plain_rows.items():
+            del table[images]
+            nd_nbs(Pattern(images), CLOSURE_CAP)
+            assert table[images] == row, images
+
+    def test_the_closure_skips_scans(self, monkeypatch):
+        scans = []
+
+        def counting(images, q):
+            scans.append((images, q))
+            return _iter_orbits(images, q)
+
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        monkeypatch.setattr(overrot.verify, "_iter_orbits", counting)
+        nd_nbs(Pattern((2, 3, 1)), CLOSURE_CAP)
+        scans.clear()
+        # the 3-cycle found at q = 3 brings its nbs bits 5, 7, 8, 9, 10 along
+        nd_nbs(Pattern((4, 3, 5, 6, 1, 2)), CLOSURE_CAP)
+        assert [q for _, q in scans] == [3, 4, 6]
+
+
+class TestPeriodDispatch:
+    def test_each_period_carries_the_rows_below_it(self, monkeypatch):
+        started, calls = [], []
+
+        class SerialPool:
+            """Stands in for the process pool: records each map call."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                calls.append([(task[1], dict(task[5])) for task in tasks])
+                return map(fn, tasks)
+
+        monkeypatch.setattr(overrot.verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(overrot.verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        assert verify_forcing_order(6, 8, jobs=2).passed
+        assert started == [2]
+        assert [[period for period, _ in call] for call in calls] == [
+            [n, n] for n in range(3, 7)
+        ]
+        table = overrot.verify._ND_NBS
+        for call in calls:
+            for period, known in call:
+                # forcing-order scans exactly the no-division patterns
+                below = {
+                    p.images
+                    for p in small_patterns(period - 1)
+                    if p.period >= 3 and not has_division(p)
+                }
+                assert set(known) == below, period
+                assert all(known[images] == table[images] for images in below)
