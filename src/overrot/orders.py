@@ -1,31 +1,17 @@
-"""Total orders on periods and over-rotation pairs, and forced-pair sets.
+"""Total orders on periods and over-rotation pairs.
 
 Three orders live here: the classical order on periods (odd numbers first,
 then their doublings, quadruplings, ..., then powers of two descending), a
 rank-encoded order on integers >= 3 used for no-division forcing, and the
 order on over-rotation pairs (by ratio, ties broken on the multiplier of the
-reduced form).  `ovr` expands a descriptor of a forced-pair set into the
-explicit capped set.
+reduced form).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .patterns import OrpPair
-
-
-class _TwoInfinityType:
-    """Sentinel for the supremum of the powers of two in the period order."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "TWO_INFINITY"
-
-
-TWO_INFINITY = _TwoInfinityType()
 
 
 def _sharkovsky_key(m: int) -> tuple:
@@ -43,21 +29,6 @@ def _sharkovsky_key(m: int) -> tuple:
 def sharkovsky_precedes(m: int, s: int) -> bool:
     """Strict period order: 3, 5, 7, ..., 2*3, 2*5, ..., 4, 2, 1."""
     return m != s and _sharkovsky_key(m) < _sharkovsky_key(s)
-
-
-def sh_set(k, cap: int) -> set[int]:
-    """All periods up to cap that k precedes, k included when an integer.
-
-    k may be TWO_INFINITY, denoting the set of all powers of two.
-    """
-    if k is TWO_INFINITY:
-        out = set()
-        power = 1
-        while power <= cap:
-            out.add(power)
-            power *= 2
-        return out
-    return {s for s in range(1, cap + 1) if s == k or sharkovsky_precedes(k, s)}
 
 
 def _star_rank(m: int) -> int:
@@ -113,54 +84,3 @@ def orp_precedes(a, b) -> bool:
         return ra < rb
     return sharkovsky_precedes(a.p // ra.numerator, b.p // rb.numerator)
 
-
-@dataclass(frozen=True)
-class OvrDescriptor:
-    """A forced-pair set: everything above a rational cutoff, plus the pairs
-    on the cutoff itself whose multipliers form a period-order tail.
-
-    cutoff None describes the full set of pairs with ratio in (0, 1/2].
-    """
-
-    cutoff: Fraction | None = None
-    tail: object = None
-
-    def __post_init__(self) -> None:
-        if (self.cutoff is None) != (self.tail is None):
-            raise ValueError("cutoff and tail must be given together")
-        if self.cutoff is not None:
-            cut = Fraction(self.cutoff)
-            if not 0 < cut <= Fraction(1, 2):
-                raise ValueError(f"cutoff must lie in (0, 1/2], got {cut}")
-            object.__setattr__(self, "cutoff", cut)
-            if self.tail is not TWO_INFINITY and (
-                not isinstance(self.tail, int) or self.tail < 1
-            ):
-                raise ValueError(f"tail must be a period or TWO_INFINITY, got {self.tail}")
-
-    @classmethod
-    def zero(cls) -> "OvrDescriptor":
-        return cls()
-
-    @classmethod
-    def rational_tail(cls, cutoff, tail) -> "OvrDescriptor":
-        return cls(Fraction(cutoff), tail)
-
-
-def ovr(descriptor: OvrDescriptor, cap: int) -> set[OrpPair]:
-    """Expand a forced-pair descriptor into explicit pairs with q <= cap."""
-    pairs = set()
-    if descriptor.cutoff is None:
-        for q in range(2, cap + 1):
-            for p in range(1, q // 2 + 1):
-                pairs.add(OrpPair(p, q))
-        return pairs
-    cut = descriptor.cutoff
-    for q in range(2, cap + 1):
-        for p in range(1, q // 2 + 1):
-            if Fraction(p, q) > cut:
-                pairs.add(OrpPair(p, q))
-    r, s = cut.numerator, cut.denominator
-    for m in sh_set(descriptor.tail, cap // s):
-        pairs.add(OrpPair(m * r, m * s))
-    return pairs

@@ -77,8 +77,7 @@ class BlockDecomposition:
     factor: Pattern
 
 
-def parse_pattern(text: str) -> Pattern:
-    """Parse one-line notation, e.g. "2 3 1"."""
+def _parse_ints(text: str) -> list[int]:
     tokens = text.split()
     if not tokens:
         raise PatternError("empty input")
@@ -90,7 +89,12 @@ def parse_pattern(text: str) -> Pattern:
             raise PatternError(
                 f"expected whitespace-separated integers, got {tok!r}"
             ) from None
-    return Pattern(tuple(values))
+    return values
+
+
+def parse_pattern(text: str) -> Pattern:
+    """Parse one-line notation, e.g. "2 3 1"."""
+    return Pattern(tuple(_parse_ints(text)))
 
 
 def format_pattern(pattern: Pattern) -> str:
@@ -103,13 +107,7 @@ def parse_cycle(text: str) -> Pattern:
     cleaned = text.strip()
     if cleaned.startswith("(") and cleaned.endswith(")"):
         cleaned = cleaned[1:-1]
-    tokens = cleaned.split()
-    if not tokens:
-        raise PatternError("empty input")
-    try:
-        cycle = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise PatternError(f"expected integers in cycle notation: {exc}") from None
+    cycle = _parse_ints(cleaned)
     n = len(cycle)
     if sorted(cycle) != list(range(1, n + 1)):
         raise PatternError(f"not a bijection of {{1..{n}}}: cycle {cycle}")

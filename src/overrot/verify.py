@@ -21,7 +21,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .forcing import (
     TwistUpTo,
@@ -31,7 +31,7 @@ from .forcing import (
     orp_spectrum,
 )
 from .markov import fixed_point, fundamental_loop_pprime
-from .orders import OrpPair, n_r, star_precedes
+from .orders import OrpPair, n_r
 from .patterns import (
     Pattern,
     _block_factors,
@@ -146,6 +146,31 @@ def _violation(pattern: Pattern, claim: str, witness: str) -> dict:
     return {"pattern": str(pattern), "claim": claim, "witness": witness}
 
 
+_KINDS = {"nd": "no-division", "nbs": "no-block-structure"}
+
+
+def _forced_periods(
+    pattern: Pattern, source: str, wanted: Iterable[int], report: NdNbsReport, kind: str
+) -> list[dict]:
+    """The claim that a `source` pattern forces a pattern of kind "nd" or
+    "nbs" at every period in `wanted`: one violation per period missing from
+    that set of the report."""
+    found = getattr(report, kind)
+    return [
+        _violation(
+            pattern,
+            f"{source} pattern forces a {_KINDS[kind]} pattern of period {s}",
+            f"{kind}={sorted(found)}",
+        )
+        for s in sorted(wanted)
+        if s not in found
+    ]
+
+
+def _truncated_n_r(r: int, cap: int) -> frozenset[int]:
+    return frozenset(s for s in n_r(r, cap) if 3 <= s <= cap)
+
+
 def _check_forcing_order(pattern: Pattern, params: dict) -> list[dict]:
     """Forcing goes down the doubled order: a no-division pattern of period m
     forces no-division patterns of every period m dominates, and likewise for
@@ -158,31 +183,12 @@ def _check_forcing_order(pattern: Pattern, params: dict) -> list[dict]:
     if not (no_div or no_bs):
         return out
     report = nd_nbs(pattern, cap)
-    for s in range(3, cap + 1):
-        if not star_precedes(m, s):
-            continue
-        if no_div and s not in report.nd:
-            out.append(
-                _violation(
-                    pattern,
-                    f"no-division pattern forces a no-division pattern of period {s}",
-                    f"nd={sorted(report.nd)}",
-                )
-            )
-        if no_bs and s not in report.nbs:
-            out.append(
-                _violation(
-                    pattern,
-                    f"no-block-structure pattern forces a no-block-structure "
-                    f"pattern of period {s}",
-                    f"nbs={sorted(report.nbs)}",
-                )
-            )
+    below = _truncated_n_r(m, cap) - {m}
+    if no_div:
+        out += _forced_periods(pattern, "no-division", below, report, "nd")
+    if no_bs:
+        out += _forced_periods(pattern, "no-block-structure", below, report, "nbs")
     return out
-
-
-def _truncated_n_r(r: int, cap: int) -> frozenset[int]:
-    return frozenset(s for s in n_r(r, cap) if 3 <= s <= cap)
 
 
 @lru_cache(maxsize=256)
@@ -219,20 +225,10 @@ def _check_refrem(pattern: Pattern, params: dict) -> list[dict]:
     m = pattern.period
     if has_division(pattern):
         return []
-    report = nd_nbs(pattern, cap)
-    out = []
-    for s in range(3, cap + 1):
-        if star_precedes(m, s) or (m == s and m % 4 != 2):
-            if s not in report.nbs:
-                out.append(
-                    _violation(
-                        pattern,
-                        f"no-division pattern forces a no-block-structure "
-                        f"pattern of period {s}",
-                        f"nbs={sorted(report.nbs)}",
-                    )
-                )
-    return out
+    wanted = _truncated_n_r(m, cap)
+    if m % 4 == 2:
+        wanted -= {m}
+    return _forced_periods(pattern, "no-division", wanted, nd_nbs(pattern, cap), "nbs")
 
 
 def _check_stefan_only(pattern: Pattern, params: dict) -> list[dict]:
@@ -330,7 +326,6 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
 
     if not convergent and m <= claim_max:
         spectrum = orp_spectrum(pattern, cap)
-        report = nd_nbs(pattern, cap)
         for q in range(2, cap + 1):
             if OrpPair(1, q) not in spectrum:
                 out.append(
@@ -341,17 +336,10 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
                         f"spectrum={sorted(spectrum)}",
                     )
                 )
-            # for q = 2 the spectrum pair (1,2) already witnesses a forced
-            # period-2 pattern, which never has a block structure
-            if q >= 3 and q not in report.nbs:
-                out.append(
-                    _violation(
-                        pattern,
-                        f"divergent pattern forces a no-block-structure "
-                        f"pattern of period {q}",
-                        f"nbs={sorted(report.nbs)}",
-                    )
-                )
+        # the nbs claim starts at 3: the spectrum pair (1,2) already witnesses
+        # a forced period-2 pattern, which never has a block structure
+        report = nd_nbs(pattern, cap)
+        out += _forced_periods(pattern, "divergent", range(3, cap + 1), report, "nbs")
 
     if convergent and m <= claim_max:
         verdict = is_twist_bounded(pattern)

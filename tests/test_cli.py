@@ -39,6 +39,11 @@ class TestClassify:
         assert code == 2
         assert "error:" in err
 
+    def test_bad_cycle_token_is_named(self, capsys):
+        code, _, err = run(capsys, "classify", "(1 2", "--cycles")
+        assert code == 2
+        assert "error: expected whitespace-separated integers, got '(1'" in err
+
 
 class TestStefan:
     def test_five(self, capsys):

@@ -1,4 +1,4 @@
-"""The three orders on periods and pairs, and the forced-set descriptors."""
+"""The three orders on periods and pairs."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -6,14 +6,10 @@ from itertools import combinations
 import pytest
 
 from overrot import (
-    TWO_INFINITY,
     OrpPair,
-    OvrDescriptor,
     eta,
     n_r,
     orp_precedes,
-    ovr,
-    sh_set,
     sharkovsky_precedes,
     star_precedes,
 )
@@ -57,23 +53,6 @@ class TestSharkovsky:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             sharkovsky_precedes(0, 3)
-
-
-class TestShSet:
-    def test_three_dominates_everything(self):
-        assert sh_set(3, 8) == frozenset(range(1, 9))
-
-    def test_two_infinity_gives_powers_of_two(self):
-        assert sh_set(TWO_INFINITY, 10) == frozenset({1, 2, 4, 8})
-        assert "TWO_INFINITY" in repr(TWO_INFINITY)
-
-    def test_two(self):
-        assert sh_set(2, 10) == frozenset({1, 2})
-
-    def test_tail_of_twelve(self):
-        tail = sh_set(12, 100)
-        assert 12 in tail and 20 in tail and 24 in tail and 8 in tail
-        assert 6 not in tail and 10 not in tail and 3 not in tail
 
 
 class TestStar:
@@ -181,47 +160,3 @@ class TestOrpOrder:
                 else:
                     assert orp_precedes(a, b) != orp_precedes(b, a), (a, b)
 
-
-class TestOvr:
-    def test_zero_descriptor_gives_all_pairs(self):
-        got = ovr(OvrDescriptor.zero(), 4)
-        assert got == frozenset(
-            {OrpPair(1, 2), OrpPair(2, 4), OrpPair(1, 3), OrpPair(1, 4)}
-        )
-
-    def test_rational_tail(self):
-        got = ovr(OvrDescriptor.rational_tail(Fraction(1, 3), 2), 7)
-        assert got == frozenset(
-            {
-                OrpPair(1, 2),
-                OrpPair(2, 4),
-                OrpPair(3, 6),
-                OrpPair(2, 5),
-                OrpPair(3, 7),
-                OrpPair(2, 6),
-                OrpPair(1, 3),
-            }
-        )
-
-    def test_tail_at_one_half(self):
-        got = ovr(OvrDescriptor.rational_tail(Fraction(1, 2), 1), 4)
-        assert got == frozenset({OrpPair(1, 2)})
-
-    def test_two_infinity_tail(self):
-        got = ovr(OvrDescriptor.rational_tail(Fraction(1, 2), TWO_INFINITY), 9)
-        assert got == frozenset(
-            {OrpPair(1, 2), OrpPair(2, 4), OrpPair(4, 8)}
-        )
-
-    def test_descriptor_validation(self):
-        with pytest.raises(ValueError):
-            OvrDescriptor(cutoff=Fraction(1, 3))
-        with pytest.raises(ValueError):
-            OvrDescriptor.rational_tail(Fraction(0), 3)
-        with pytest.raises(ValueError):
-            OvrDescriptor.rational_tail(Fraction(2, 3), 3)
-
-    def test_descriptors_grow_downward(self):
-        wide = ovr(OvrDescriptor.rational_tail(Fraction(1, 3), 3), 9)
-        narrow = ovr(OvrDescriptor.rational_tail(Fraction(2, 5), 5), 9)
-        assert narrow < wide

@@ -417,3 +417,69 @@ class TestPeriodDispatch:
                 }
                 assert set(known) == below, period
                 assert all(known[images] == table[images] for images in below)
+
+
+def _claims_under_a_row(checker, images, params, monkeypatch):
+    """A checker's violations when the table says `images` forces nothing up
+    to cap 9, sorted the way a report sorts them."""
+    monkeypatch.setattr(overrot.verify, "_ND_NBS", {images: (9, 0, 0)})
+    out = checker(Pattern(images), params)
+    return sorted(out, key=overrot.verify._violation_key)
+
+
+def _missing(pattern, claim, witness, periods):
+    return [
+        {"pattern": pattern, "claim": claim.format(q), "witness": witness}
+        for q in periods
+    ]
+
+
+class TestClaimViolations:
+    """Every real sweep passes, so these pin the violation strings under an
+    injected row that forces nothing."""
+
+    def test_forcing_order(self, monkeypatch):
+        got = _claims_under_a_row(
+            overrot.verify._check_forcing_order, (2, 3, 1), {"cap": 9}, monkeypatch
+        )
+        assert len(got) == 8
+        assert {
+            "pattern": "2 3 1",
+            "claim": "no-division pattern forces a no-division pattern of period 5",
+            "witness": "nd=[]",
+        } in got
+        want = _missing(
+            "2 3 1",
+            "no-division pattern forces a no-division pattern of period {}",
+            "nd=[]",
+            (5, 7, 8, 9),
+        ) + _missing(
+            "2 3 1",
+            "no-block-structure pattern forces a no-block-structure pattern of period {}",
+            "nbs=[]",
+            (5, 7, 8, 9),
+        )
+        assert got == sorted(want, key=overrot.verify._violation_key)
+
+    def test_refrem(self, monkeypatch):
+        got = _claims_under_a_row(
+            overrot.verify._check_refrem, (2, 3, 1), {"cap": 9}, monkeypatch
+        )
+        assert got == _missing(
+            "2 3 1",
+            "no-division pattern forces a no-block-structure pattern of period {}",
+            "nbs=[]",
+            (3, 5, 7, 8, 9),
+        )
+
+    def test_divergent_lemma(self, monkeypatch):
+        params = {"max_period": 4, "cap": 9, "claim_max_period": 4}
+        got = _claims_under_a_row(
+            overrot.verify._check_lemmas, (3, 1, 4, 2), params, monkeypatch
+        )
+        assert got == _missing(
+            "3 1 4 2",
+            "divergent pattern forces a no-block-structure pattern of period {}",
+            "nbs=[]",
+            range(3, 10),
+        )
