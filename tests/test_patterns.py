@@ -91,6 +91,19 @@ class TestNotation:
         with pytest.raises(PatternError):
             parse_pattern("   ")
 
+    @pytest.mark.parametrize("parse", [parse_pattern, parse_cycle])
+    def test_both_parsers_name_the_bad_token(self, parse):
+        with pytest.raises(PatternError, match="integers, got 'x'$"):
+            parse("2 x 1")
+
+    def test_parse_cycle_names_an_unbalanced_paren(self):
+        with pytest.raises(PatternError, match=r"integers, got '\(1'$"):
+            parse_cycle("(1 2")
+
+    def test_parse_cycle_rejects_empty_parens(self):
+        with pytest.raises(PatternError, match="empty input"):
+            parse_cycle("()")
+
     def test_parse_cycle_with_and_without_parens(self):
         assert parse_cycle("(1 2 3)") == Pattern((2, 3, 1))
         assert parse_cycle("1 2 3") == Pattern((2, 3, 1))

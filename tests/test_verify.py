@@ -30,6 +30,7 @@ from overrot import (
     verify_trichotomy,
 )
 from overrot.forcing import _iter_orbits
+from overrot.orders import star_precedes
 from overrot.patterns import _block_factors, _has_division
 
 
@@ -483,3 +484,70 @@ class TestClaimViolations:
             "nbs=[]",
             range(3, 10),
         )
+
+
+def _report(nd, nbs):
+    return NdNbsReport(
+        pattern=Pattern((2, 3, 1)), cap=9, nd=frozenset(nd), nbs=frozenset(nbs)
+    )
+
+
+class TestForcedPeriods:
+    """The one helper behind the forcing-order, refrem and divergent claims."""
+
+    def test_nothing_missing_gives_no_violation(self):
+        report = _report({3, 5, 7}, {3, 5})
+        forced = overrot.verify._forced_periods
+        assert forced(Pattern((2, 3, 1)), "no-division", {5, 7}, report, "nd") == []
+        assert forced(Pattern((2, 3, 1)), "divergent", (), report, "nbs") == []
+
+    def test_one_violation_per_missing_period_in_ascending_order(self):
+        report = _report({9, 3}, {4})
+        got = overrot.verify._forced_periods(
+            Pattern((2, 3, 1)), "no-division", [9, 7, 5, 3], report, "nd"
+        )
+        assert got == [
+            {
+                "pattern": "2 3 1",
+                "claim": f"no-division pattern forces a no-division pattern of period {s}",
+                "witness": "nd=[3, 9]",
+            }
+            for s in (5, 7)
+        ]
+
+    def test_kind_picks_the_set_and_its_name(self):
+        report = _report({5}, {7})
+        got = overrot.verify._forced_periods(
+            Pattern((2, 3, 1)), "no-division", {5, 7}, report, "nbs"
+        )
+        assert got == [
+            {
+                "pattern": "2 3 1",
+                "claim": "no-division pattern forces a no-block-structure "
+                "pattern of period 5",
+                "witness": "nbs=[7]",
+            }
+        ]
+
+
+class TestClaimPeriodSets:
+    """The down-sets the checkers pass to _forced_periods are the period sets
+    the star-order loops they replaced used to scan."""
+
+    @pytest.mark.parametrize("cap", [9, 16])
+    def test_forcing_order_scans_the_strict_down_set(self, cap):
+        for m in range(3, cap + 1):
+            wanted = overrot.verify._truncated_n_r(m, cap) - {m}
+            assert wanted == {s for s in range(3, cap + 1) if star_precedes(m, s)}, m
+
+    @pytest.mark.parametrize("cap", [9, 16])
+    def test_refrem_keeps_its_own_period_unless_twice_odd(self, cap):
+        for m in range(3, cap + 1):
+            wanted = overrot.verify._truncated_n_r(m, cap)
+            if m % 4 == 2:
+                wanted -= {m}
+            assert wanted == {
+                s
+                for s in range(3, cap + 1)
+                if star_precedes(m, s) or (m == s and m % 4 != 2)
+            }, m
