@@ -19,8 +19,10 @@ divergent patterns as well as convergent ones.  Searching the refined family
 with a crossing target finds the orbits of one over-rotation pair only; the
 twist verdicts and the over-rotation spectra are such targeted searches.
 
-The covering spaces and the compose-and-realize kernel live in `markov`;
-this module owns the closed-walk search and the queries built on it.
+The covering spaces, which hold the closing tables the search fills, and the
+compose-and-realize kernel live in `markov`; this module owns the search and
+the queries on it.  The space is the one cache below the queries: only twist
+verdicts, which `insert_rotation` asks for again, are kept as results.
 """
 
 from __future__ import annotations
@@ -117,31 +119,6 @@ def _canonical_rotation(walk: list, s: int) -> bool:
     return True
 
 
-class _ClosingRows(list):
-    """The rows of one start vertex's closing table, with fsucc."""
-
-    __slots__ = ("fsucc",)
-
-
-@lru_cache(maxsize=64)
-def _closing_rows(images: tuple[int, ...], refined: bool, s: int) -> _ClosingRows:
-    """The closing table of start vertex s in a covering space, row 0 only.
-
-    Row k maps each vertex v to a bitmask with bit c set when some walk of k
-    edges leads from v back to s through vertices >= s with exactly c
-    falling-to-rising crossings.  Row 0 is s alone with bit 0;
-    `_iter_orbits` appends row k from row k - 1 as its walks need it, so the
-    rows are shared by every walk length; fsucc[v] lists the successors
-    u >= s of v, the only ones walks from s enter.  The cache is bounded: the
-    rows of every start of every pattern a sweep meets would only add memory.
-    """
-    succ = _covering_space(images, refined).succ
-    rows = _ClosingRows([[0] * len(succ)])
-    rows[0][s] = 1
-    rows.fsucc = [tuple(u for u in adj if u >= s) for adj in succ]
-    return rows
-
-
 def _iter_orbits(
     images: tuple[int, ...], q: int, target: int | None = None
 ) -> Iterator[tuple[int, ...]]:
@@ -155,25 +132,28 @@ def _iter_orbits(
     is walked, which never crosses, so the goal is 0; with one, the refined
     space.  Only walks making exactly the goal's number of falling-to-rising
     transitions survive, and every orbit yielded then has that many
-    half-turns: its over-rotation pair is (target, q).  The table of
-    `_closing_rows` says exactly which vertices can still close the walk
-    with the crossings left, so every edge taken lies on a closed walk of
-    length q meeting the goal, and a start vertex without one is skipped.
+    half-turns: its over-rotation pair is (target, q).  Each start vertex's
+    closing table in the space (`_Space.closing`), filled here up to row q,
+    says exactly which vertices can still close the walk with the crossings
+    left, so every edge taken lies on a closed walk of length q meeting the
+    goal, and a start vertex without one is skipped.
     """
     if len(images) < 2:
         if q == 1:
             yield (1,)
         return
-    refined = target is not None
-    space = _covering_space(images, refined)
+    space = _covering_space(images, target is not None)
     goal = target or 0
     slopes = space.slopes
     offsets = space.offsets
     right = space.right
     count = len(slopes)
     for s in range(count):
-        rows = _closing_rows(images, refined, s)
-        fsucc = rows.fsucc
+        table = space.closing[s]
+        if table is None:
+            fsucc = tuple(tuple(u for u in adj if u >= s) for adj in space.succ)
+            table = space.closing[s] = (fsucc, [[int(v == s) for v in range(count)]])
+        fsucc, rows = table
         while len(rows) <= q:
             row = last = rows[-1]
             # once a row equals the one before it, every later row does too
@@ -304,11 +284,6 @@ def _iter_forced_patterns(images: tuple[int, ...], q: int) -> Iterator[Pattern]:
             yield Pattern(key)
 
 
-@lru_cache(maxsize=256)
-def _forced_cached(images: tuple[int, ...], q: int) -> frozenset[Pattern]:
-    return frozenset(_iter_forced_patterns(images, q))
-
-
 def forced_patterns(pattern: Pattern, q: int) -> frozenset[Pattern]:
     """All canonical patterns of period-q cycles of the pattern-linear map.
 
@@ -318,7 +293,7 @@ def forced_patterns(pattern: Pattern, q: int) -> frozenset[Pattern]:
     """
     if q < 1:
         raise ValueError(f"period must be at least 1, got {q}")
-    return _forced_cached(canonical(pattern).images, q)
+    return frozenset(_iter_forced_patterns(canonical(pattern).images, q))
 
 
 def forces(a: Pattern, b: Pattern) -> bool:
@@ -327,8 +302,11 @@ def forces(a: Pattern, b: Pattern) -> bool:
     return target in _iter_forced_patterns(canonical(a).images, target.period)
 
 
-@lru_cache(maxsize=256)
-def _spectrum_cached(images: tuple[int, ...], cap: int) -> frozenset[OrpPair]:
+def orp_spectrum(pattern: Pattern, cap: int) -> frozenset[OrpPair]:
+    """Over-rotation pairs of all forced patterns of periods 2..cap."""
+    if cap < 2:
+        raise ValueError(f"cap must be at least 2, got {cap}")
+    images = canonical(pattern).images
     # an orbit's half-turn count is its crossing count in the refined space,
     # so each pair asks the search for one orbit; the closing rows answer
     # most pairs that are not forced before any walk starts
@@ -338,13 +316,6 @@ def _spectrum_cached(images: tuple[int, ...], cap: int) -> frozenset[OrpPair]:
         for p in range(1, q // 2 + 1)
         if next(_iter_orbits(images, q, target=p), None) is not None
     )
-
-
-def orp_spectrum(pattern: Pattern, cap: int) -> frozenset[OrpPair]:
-    """Over-rotation pairs of all forced patterns of periods 2..cap."""
-    if cap < 2:
-        raise ValueError(f"cap must be at least 2, got {cap}")
-    return _spectrum_cached(canonical(pattern).images, cap)
 
 
 def twist_monotone_check(pattern: Pattern) -> bool:

@@ -11,8 +11,9 @@ points, `_compose` validates a closed walk and composes its pieces, and
 `_realize` turns the compositions into an exact periodic orbit: integer
 numerators over one denominator, as slopes and offsets are integers, so
 `Fraction` appears only at the API boundary.  The public views
-(`markov_graph`, `fixed_point`) read the same spaces.  The closed-walk search
-and the forcing queries built on the kernel live in `forcing`.
+(`markov_graph`, `fixed_point`) read the same spaces.  The closed-walk search,
+which keeps its closing tables in the spaces, and the forcing queries built
+on the kernel live in `forcing`.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def markov_graph(pattern: Pattern) -> MarkovGraph:
     n = pattern.period
     if n < 2:
         raise PatternError("covering graphs need period at least 2")
-    succ = _covering_space(pattern.images, False).succ_sets
+    succ = _covering_space(pattern.images, False).succ
     rows = tuple(tuple(k in adj for k in range(n - 1)) for adj in succ)
     return MarkovGraph(n - 1, rows)
 
@@ -155,6 +156,15 @@ class _Space(NamedTuple):
     exactly the vertices right of its fixed point.  In the basic space, which
     is not split at the fixed points, it is False everywhere, so no walk ever
     crosses.
+
+    closing[s] is None until the walk search first starts at vertex s, then
+    its closing table (fsucc, rows).  fsucc[v] lists the successors u >= s of
+    v, the only ones walks from s enter.  rows holds the rows built so far:
+    row k maps each vertex v to a bitmask with bit c set when some walk of k
+    edges leads from v back to s through vertices >= s with exactly c
+    falling-to-rising crossings.  Row 0 is s alone with bit 0; the search
+    appends row k from row k - 1 as its walks need it, so the rows are shared
+    by every walk length and live as long as the space.
     """
 
     lows: tuple
@@ -162,12 +172,16 @@ class _Space(NamedTuple):
     slopes: tuple
     offsets: tuple
     succ: tuple
-    succ_sets: tuple
     labels: tuple[str, ...]
     right: tuple[bool, ...]
+    closing: list
 
 
-@lru_cache(maxsize=256)
+# The sweeps and the twist queries look a space up again only right after
+# the last lookup of it (reuse distance 0), or, across suites, after about
+# 3,000 other spaces, which no bounded cache holds.  Two entries keep the
+# basic and the refined space of the pattern in hand.
+@lru_cache(maxsize=2)
 def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
     """The covering space of a pattern's pattern-linear map.
 
@@ -206,13 +220,13 @@ def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
         slopes=tuple(m for m, _ in pieces),
         offsets=tuple(c for _, c in pieces),
         succ=tuple(succ),
-        succ_sets=tuple(frozenset(adj) for adj in succ),
         labels=tuple(labels),
         # the displacement m x + c - x at the midpoint, doubled
         right=tuple(
             refined and (m - 1) * (lo + hi) + 2 * c < 0
             for (lo, hi), (m, c) in zip(bounds, pieces)
         ),
+        closing=[None] * len(bounds),
     )
 
 
@@ -238,7 +252,7 @@ def _compose(space: _Space, loop) -> tuple[list[int], list[tuple]]:
     prefixes = [(1, 0)]
     for t, v in enumerate(ids):
         u = ids[(t + 1) % len(ids)]
-        if u not in space.succ_sets[v]:
+        if u not in space.succ[v]:
             raise LoopError(
                 f"no edge {space.labels[v]} -> {space.labels[u]} in the covering graph"
             )

@@ -324,8 +324,14 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
                 )
             )
 
-    if not convergent and m <= claim_max:
-        spectrum = orp_spectrum(pattern, cap)
+    if m > claim_max:
+        return out
+    rho = Fraction(pair.p, pair.q)
+    bumped = OrpPair(rho.numerator + 1, rho.denominator + 2)
+    stepping = rho < Fraction(1, 2) and bumped.q <= cap
+    spectrum = orp_spectrum(pattern, cap) if stepping or not convergent else frozenset()
+
+    if not convergent:
         for q in range(2, cap + 1):
             if OrpPair(1, q) not in spectrum:
                 out.append(
@@ -340,8 +346,7 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
         # a forced period-2 pattern, which never has a block structure
         report = nd_nbs(pattern, cap)
         out += _forced_periods(pattern, "divergent", range(3, cap + 1), report, "nbs")
-
-    if convergent and m <= claim_max:
+    else:
         verdict = is_twist_bounded(pattern)
         if isinstance(verdict, TwistUpTo):
             if m > 2:
@@ -368,19 +373,14 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
                     )
                 )
 
-    if m <= claim_max:
-        rho = Fraction(pair.p, pair.q)
-        if rho < Fraction(1, 2) and rho.denominator + 2 <= cap:
-            bumped = OrpPair(rho.numerator + 1, rho.denominator + 2)
-            if bumped not in orp_spectrum(pattern, cap):
-                out.append(
-                    _violation(
-                        pattern,
-                        f"forces an orbit of over-rotation pair "
-                        f"({bumped.p},{bumped.q})",
-                        f"pair ({pair.p},{pair.q})",
-                    )
-                )
+    if stepping and bumped not in spectrum:
+        out.append(
+            _violation(
+                pattern,
+                f"forces an orbit of over-rotation pair ({bumped.p},{bumped.q})",
+                f"pair ({pair.p},{pair.q})",
+            )
+        )
     return out
 
 

@@ -36,7 +36,7 @@ from overrot import (
     stefan,
     twist_monotone_check,
 )
-from overrot.forcing import _closing_rows, _iter_orbits
+from overrot.forcing import _iter_orbits
 from overrot.markov import _covering_space
 from overrot.patterns import _flip_images, _half_turns
 from overrot.verify import enumerate_patterns
@@ -308,7 +308,7 @@ class TestClosingRows:
                     if u >= s
                 )
 
-            rows = _closing_rows(pattern.images, refined, s)
+            _, rows = space.closing[s]
             for k in range(depth + 1):
                 for v in range(len(space.succ)):
                     expected = sum(

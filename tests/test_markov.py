@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import overrot.forcing
+import overrot.verify
 from overrot import (
     DivergentPatternError,
     Germ,
@@ -15,14 +17,17 @@ from overrot import (
     fundamental_loop,
     fundamental_loop_pprime,
     germ_map,
+    insert_rotation,
     is_convergent,
+    is_twist_bounded,
     markov_graph,
+    orp_spectrum,
     p_linear,
     realize_loop,
     stefan,
 )
 from overrot.markov import DegenerateRealizationError, _covering_space, _realize
-from overrot.verify import enumerate_patterns
+from overrot.verify import enumerate_patterns, nd_nbs
 
 
 class TestPLinearMap:
@@ -263,7 +268,7 @@ def closed_walks(space, max_len):
         stack = [[s]]
         while stack:
             walk = stack.pop()
-            if s in space.succ_sets[walk[-1]]:
+            if s in space.succ[walk[-1]]:
                 yield walk
             if len(walk) < max_len:
                 stack.extend(walk + [u] for u in space.succ[walk[-1]])
@@ -328,3 +333,48 @@ class TestIntegerKernel:
         orbit = realize_loop(Pattern((2, 1)), (1, 1))
         assert orbit.points == (Fraction(4, 3), Fraction(5, 3))
         assert all(type(x) is Fraction for x in orbit.points)
+
+
+class TestSpaceCache:
+    """The covering space is the one cache below the queries, sized by the
+    traffic pinned here: a pattern's searches look its spaces up back to back."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        _covering_space.cache_clear()
+
+    def test_an_nd_nbs_scan_builds_one_basic_space(self, monkeypatch):
+        spaces, held = [], []
+
+        def recording(images, refined):
+            assert not refined
+            space = _covering_space(images, refined)
+            spaces.append(space)
+            held.append([table and table[1] for table in space.closing])
+            return space
+
+        monkeypatch.setattr(overrot.forcing, "_covering_space", recording)
+        nd_nbs(Pattern((4, 3, 5, 6, 1, 2)), 10)
+        info = _covering_space.cache_info()
+        assert (info.misses, info.hits) == (1, len(spaces) - 1)
+        assert len(spaces) == 8  # one scan per period 3..10
+        assert all(space is spaces[0] for space in spaces)
+        # each start's rows are one list across the periods, extended in place:
+        # start 0's, which every scan fills before it walks, up to row 10
+        final = [table and table[1] for table in spaces[0].closing]
+        assert all(rows is final[s] for lists in held for s, rows in enumerate(lists) if rows)
+        assert held[-1][0] is final[0] and len(final[0]) == 11
+
+    def test_twist_insertion_and_spectrum_build_one_refined_space(self):
+        three = Pattern((2, 3, 1))
+        overrot.forcing._twist_cached.cache_clear()
+        is_twist_bounded(three)
+        insert_rotation(three)
+        orp_spectrum(three, 9)
+        assert _covering_space.cache_info().misses == 1
+        _covering_space(three.images, True)
+        assert _covering_space.cache_info().misses == 1
+
+    def test_the_bound_holds_the_two_spaces_of_one_pattern(self):
+        assert _covering_space.cache_info().maxsize == 2

@@ -24,3 +24,31 @@ def test_invariants_are_not_checked_with_assert(path):
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(node.lineno)
     assert not found, f"{path.name}: assert at lines {found}"
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_cache_has_a_literal_bound(path):
+    # a cache without a bound grows with every key a sweep meets; the bound is
+    # written out where the cache is, so a reader sees what it may hold
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
+            sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            if len(sizes) == 1 and isinstance(sizes[0], ast.Constant):
+                if type(sizes[0].value) is int:
+                    bounded.add(node.func)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if _name(node.value) == "functools":
+                found.append(node.lineno)
+        elif _name(node) == "lru_cache" and node not in bounded:
+            found.append(node.lineno)
+    assert not found, f"{path.name}: unbounded or non-literal cache at lines {found}"
