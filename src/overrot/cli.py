@@ -14,19 +14,17 @@ import sys
 from functools import lru_cache
 
 from .forcing import (
-    LoopError,
     TwistUpTo,
     forced_patterns,
     forces,
     is_twist_bounded,
     orp_spectrum,
 )
-from .markov import DivergentPatternError, MarkovGraph, markov_graph
+from .markov import MarkovGraph, markov_graph
 from .orders import eta, orp_precedes, sharkovsky_precedes, star_precedes
 from .patterns import (
     OrpPair,
     Pattern,
-    PatternError,
     classify,
     format_pattern,
     parse_cycle,
@@ -275,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PatternError, LoopError, DivergentPatternError, ValueError) as exc:
+    except ValueError as exc:  # every error class of the library subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ divergent patterns as well as convergent ones.  Searching the refined family
 with a crossing target finds the orbits of one over-rotation pair only; the
 twist verdicts and the over-rotation spectra are such targeted searches.
 
-The covering spaces, which hold the closing tables the search fills, and the
+The covering spaces, which hold the closing rows the search fills, and the
 compose-and-realize kernel live in `markov`; this module owns the search and
 the queries on it.  The space is the one cache below the queries: only twist
 verdicts, which `insert_rotation` asks for again, are kept as results.
@@ -133,10 +133,14 @@ def _iter_orbits(
     space.  Only walks making exactly the goal's number of falling-to-rising
     transitions survive, and every orbit yielded then has that many
     half-turns: its over-rotation pair is (target, q).  Each start vertex's
-    closing table in the space (`_Space.closing`), filled here up to row q,
-    says exactly which vertices can still close the walk with the crossings
+    closing rows in the space (`_Space.closing`), filled here up to row q,
+    say exactly which vertices can still close the walk with the crossings
     left, so every edge taken lies on a closed walk of length q meeting the
-    goal, and a start vertex without one is skipped.
+    goal, and a start vertex without one is skipped.  The rows are 0 below
+    the start, which alone keeps each walk on the vertices from s up.  The
+    depth-first search holds, per depth, the walk's vertex, its crossings
+    and an iterator over that vertex's successors, and the prefix
+    compositions in the one list `_realize` reads.
     """
     if len(images) < 2:
         if q == 1:
@@ -146,38 +150,36 @@ def _iter_orbits(
     goal = target or 0
     slopes = space.slopes
     offsets = space.offsets
+    succ = space.succ
     right = space.right
     count = len(slopes)
     for s in range(count):
-        table = space.closing[s]
-        if table is None:
-            fsucc = tuple(tuple(u for u in adj if u >= s) for adj in space.succ)
-            table = space.closing[s] = (fsucc, [[int(v == s) for v in range(count)]])
-        fsucc, rows = table
+        rows = space.closing[s]
+        if rows is None:
+            rows = space.closing[s] = [[int(v == s) for v in range(count)]]
         while len(rows) <= q:
             row = last = rows[-1]
             # once a row equals the one before it, every later row does too
             if len(rows) == 1 or last != rows[-2]:
                 row = [0] * count
                 for v in range(s, count):
-                    for u in fsucc[v]:
+                    for u in succ[v]:
                         row[v] |= last[u] << (right[v] and not right[u])
             rows.append(row)
         if not rows[q][s] >> goal & 1:
             continue
         walk = [s] * q
-        idx = [0] * q
-        al: list = [1] * q
-        be: list = [0] * q
         cr = [0] * q
+        prefixes = [(1, 0)] * (q + 1)
+        options = [iter(succ[s])] * q  # set on descent past depth 0
         t = 0
         while t >= 0:
             v = walk[t]
+            m = slopes[v]
+            alpha, beta = prefixes[t]
             if t == q - 1:
                 if _canonical_rotation(walk, s):
-                    m = slopes[v]
-                    prefixes = list(zip(al, be))
-                    prefixes.append((m * al[t], m * be[t] + offsets[v]))
+                    prefixes[q] = (m * alpha, m * beta + offsets[v])
                     res = _realize(space, s, prefixes)
                     if res is not None and _minimal_period(res[1]) == q:
                         # rank the forward orbit by its numerators; the point
@@ -192,28 +194,18 @@ def _iter_orbits(
                         yield tuple([rank[(k + 1) % q] for k in order])
                 t -= 1
                 continue
-            options = fsucc[v]
             closing = rows[q - t - 1]
-            i = idx[t]
-            moved = False
-            while i < len(options):
-                u = options[i]
-                i += 1
+            for u in options[t]:
                 ncr = cr[t] + (1 if right[v] and not right[u] else 0)
                 # bit goal - ncr of the closing row; none when ncr > goal
-                if not closing[u] << ncr >> goal & 1:
-                    continue
-                idx[t] = i
-                m = slopes[v]
-                t += 1
-                walk[t] = u
-                al[t] = m * al[t - 1]
-                be[t] = m * be[t - 1] + offsets[v]
-                cr[t] = ncr
-                idx[t] = 0
-                moved = True
-                break
-            if not moved:
+                if closing[u] << ncr >> goal & 1:
+                    t += 1
+                    walk[t] = u
+                    cr[t] = ncr
+                    prefixes[t] = (m * alpha, m * beta + offsets[v])
+                    options[t] = iter(succ[u])
+                    break
+            else:
                 t -= 1
 
 

@@ -12,7 +12,7 @@ points, `_compose` validates a closed walk and composes its pieces, and
 numerators over one denominator, as slopes and offsets are integers, so
 `Fraction` appears only at the API boundary.  The public views
 (`markov_graph`, `fixed_point`) read the same spaces.  The closed-walk search,
-which keeps its closing tables in the spaces, and the forcing queries built
+which keeps its closing rows in the spaces, and the forcing queries built
 on the kernel live in `forcing`.
 """
 
@@ -158,13 +158,13 @@ class _Space(NamedTuple):
     crosses.
 
     closing[s] is None until the walk search first starts at vertex s, then
-    its closing table (fsucc, rows).  fsucc[v] lists the successors u >= s of
-    v, the only ones walks from s enter.  rows holds the rows built so far:
-    row k maps each vertex v to a bitmask with bit c set when some walk of k
-    edges leads from v back to s through vertices >= s with exactly c
-    falling-to-rising crossings.  Row 0 is s alone with bit 0; the search
-    appends row k from row k - 1 as its walks need it, so the rows are shared
-    by every walk length and live as long as the space.
+    the list of its closing rows built so far: row k maps each vertex v to a
+    bitmask with bit c set when some walk of k edges leads from v back to s
+    through vertices >= s with exactly c falling-to-rising crossings.  Row 0
+    is s alone with bit 0; the search appends row k from row k - 1 as its
+    walks need it, so the rows are shared by every walk length and live as
+    long as the space.  Every row is 0 below s, and that is what keeps the
+    walks from s on the vertices >= s: each is counted from its least vertex.
     """
 
     lows: tuple

@@ -19,8 +19,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .forcing import (
@@ -314,7 +314,7 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
             )
 
     if convergent:
-        if (Fraction(pair.p, pair.q) == Fraction(1, 2)) != has_division(pattern):
+        if (2 * pair.p == pair.q) != has_division(pattern):
             out.append(
                 _violation(
                     pattern,
@@ -326,9 +326,9 @@ def _check_lemmas(pattern: Pattern, params: dict) -> list[dict]:
 
     if m > claim_max:
         return out
-    rho = Fraction(pair.p, pair.q)
-    bumped = OrpPair(rho.numerator + 1, rho.denominator + 2)
-    stepping = rho < Fraction(1, 2) and bumped.q <= cap
+    g = gcd(pair.p, pair.q)
+    bumped = OrpPair(pair.p // g + 1, pair.q // g + 2)
+    stepping = 2 * pair.p < pair.q and bumped.q <= cap
     spectrum = orp_spectrum(pattern, cap) if stepping or not convergent else frozenset()
 
     if not convergent:

@@ -37,7 +37,7 @@ from overrot import (
     twist_monotone_check,
 )
 from overrot.forcing import _iter_orbits
-from overrot.markov import _covering_space
+from overrot.markov import _compose, _covering_space, _realize
 from overrot.patterns import _flip_images, _half_turns
 from overrot.verify import enumerate_patterns
 
@@ -286,7 +286,7 @@ CONVERGENT_2_TO_6 = [
 
 
 class TestClosingRows:
-    """The closing table that prunes the walk search, against brute force."""
+    """The closing rows that prune the walk search, against brute force."""
 
     @pytest.mark.parametrize("refined", [False, True])
     @pytest.mark.parametrize("pattern", CONVERGENT_2_TO_6, ids=str)
@@ -308,7 +308,7 @@ class TestClosingRows:
                     if u >= s
                 )
 
-            _, rows = space.closing[s]
+            rows = space.closing[s]
             for k in range(depth + 1):
                 for v in range(len(space.succ)):
                     expected = sum(
@@ -358,6 +358,62 @@ class TestRefinedCrossings:
     def test_spectrum_equals_the_enumeration_oracle(self):
         for p in CANONICAL_2_TO_6:
             assert orp_spectrum(p, 8) == spectrum_by_enumeration(p.images, 8), str(p)
+
+
+def orbit_stream(images: tuple[int, ...], q: int, target: int | None) -> list:
+    """`_iter_orbits` by brute force, without closing rows or its DFS.
+
+    From each start s, ascending, every closed length-q walk through the
+    vertices >= s in lexicographic order; a walk is kept when it is the least
+    of its rotations and makes the goal's number of falling-to-rising
+    crossings, realized through `_compose` and `_realize`, and its orbit
+    ranked when it has q distinct points.
+    """
+    space = _covering_space(images, target is not None)
+    goal = target or 0
+    succ, right = space.succ, space.right
+    out = []
+
+    def extend(walk, s):
+        if len(walk) == q:
+            if s in succ[walk[-1]]:
+                yield walk
+            return
+        for u in succ[walk[-1]]:
+            if u >= s:
+                yield from extend(walk + [u], s)
+
+    for s in range(len(succ)):
+        for walk in extend([s], s):
+            if walk != min(walk[i:] + walk[:i] for i in range(q)):
+                continue
+            steps = zip(walk, walk[1:] + walk[:1])
+            if sum(right[v] and not right[u] for v, u in steps) != goal:
+                continue
+            _, prefixes = _compose(space, [space.labels[v] for v in walk])
+            res = _realize(space, s, prefixes)
+            if res is None or len(set(res[1])) != q:
+                continue
+            nums = res[1]
+            rank = {x: r for r, x in enumerate(sorted(nums), 1)}
+            orbit = [0] * q
+            for k in range(q):
+                orbit[rank[nums[k]] - 1] = rank[nums[(k + 1) % q]]
+            out.append(tuple(orbit))
+    return out
+
+
+class TestOrbitStream:
+    """The search's stream itself, order and repeats included, against brute
+    force: the closing rows and the DFS may prune, never add, drop or
+    reorder an orbit."""
+
+    @pytest.mark.parametrize("pattern", CANONICAL_2_TO_6, ids=str)
+    def test_stream_is_the_brute_force_stream(self, pattern):
+        for q in range(1, 8):
+            for target in [None, *range(q // 2 + 1)]:
+                got = list(_iter_orbits(pattern.images, q, target))
+                assert got == orbit_stream(pattern.images, q, target), (q, target)
 
 
 class TestForces:

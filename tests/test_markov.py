@@ -351,7 +351,7 @@ class TestSpaceCache:
             assert not refined
             space = _covering_space(images, refined)
             spaces.append(space)
-            held.append([table and table[1] for table in space.closing])
+            held.append(list(space.closing))
             return space
 
         monkeypatch.setattr(overrot.forcing, "_covering_space", recording)
@@ -362,7 +362,7 @@ class TestSpaceCache:
         assert all(space is spaces[0] for space in spaces)
         # each start's rows are one list across the periods, extended in place:
         # start 0's, which every scan fills before it walks, up to row 10
-        final = [table and table[1] for table in spaces[0].closing]
+        final = spaces[0].closing
         assert all(rows is final[s] for lists in held for s, rows in enumerate(lists) if rows)
         assert held[-1][0] is final[0] and len(final[0]) == 11
 
