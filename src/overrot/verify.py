@@ -236,9 +236,10 @@ def _check_stefan_only(pattern: Pattern, params: dict) -> list[dict]:
 
     (1) When the least odd period in nbs is m, every forced period-m pattern
     is the period-m spiral, and no odd period strictly between 1 and m is
-    forced at all.  (2) When period 4n+2 is in nd but not in nbs, every
-    forced no-division pattern of period 4n+2 is a doubling whose factor is
-    the period-(2n+1) spiral.
+    forced at all.  At m = 3 this needs no search: the spiral `2 3 1` is the
+    only canonical pattern of period 3.  (2) When period 4n+2 is in nd but
+    not in nbs, every forced no-division pattern of period 4n+2 is a
+    doubling whose factor is the period-(2n+1) spiral.
     """
     cap = params["max_period"]
     report = nd_nbs(pattern, cap)
@@ -247,7 +248,9 @@ def _check_stefan_only(pattern: Pattern, params: dict) -> list[dict]:
     if odd_nbs:
         m = odd_nbs[0]
         spiral = stefan(m)
-        for forced in sorted(forced_patterns(pattern, m), key=lambda p: p.images):
+        for forced in sorted(
+            forced_patterns(pattern, m) if m > 3 else (), key=lambda p: p.images
+        ):
             if forced != spiral:
                 out.append(
                     _violation(

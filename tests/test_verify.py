@@ -23,6 +23,7 @@ from overrot import (
     forced_patterns,
     has_division,
     nd_nbs,
+    stefan,
     verify_forcing_order,
     verify_lemmas,
     verify_refrem,
@@ -420,10 +421,11 @@ class TestPeriodDispatch:
                 assert all(known[images] == table[images] for images in below)
 
 
-def _claims_under_a_row(checker, images, params, monkeypatch):
-    """A checker's violations when the table says `images` forces nothing up
-    to cap 9, sorted the way a report sorts them."""
-    monkeypatch.setattr(overrot.verify, "_ND_NBS", {images: (9, 0, 0)})
+def _claims_under_a_row(checker, images, params, monkeypatch, row=(9, 0, 0)):
+    """A checker's violations when the table holds `row` for `images` (by
+    default: it forces nothing up to cap 9), sorted the way a report sorts
+    them."""
+    monkeypatch.setattr(overrot.verify, "_ND_NBS", {images: row})
     out = checker(Pattern(images), params)
     return sorted(out, key=overrot.verify._violation_key)
 
@@ -484,6 +486,94 @@ class TestClaimViolations:
             "nbs=[]",
             range(3, 10),
         )
+
+    @staticmethod
+    def _stefan_only(forced, nd, nbs, monkeypatch):
+        """stefan-only's violations on `2 3 1` at cap 9 when the table row has
+        the periods `nd` and `nbs` and `forced` maps a period to its forced set."""
+        monkeypatch.setattr(
+            overrot.verify, "forced_patterns", lambda pattern, q: forced.get(q, ())
+        )
+        row = (9, sum(1 << q for q in nd), sum(1 << q for q in nbs))
+        return _claims_under_a_row(
+            overrot.verify._check_stefan_only,
+            (2, 3, 1),
+            {"max_period": 9},
+            monkeypatch,
+            row,
+        )
+
+    def test_stefan_only_least_odd_period_forces_only_its_spiral(self, monkeypatch):
+        other = Pattern((2, 3, 4, 5, 1))
+        forced = {5: [stefan(5), other]}
+        got = self._stefan_only(forced, {5}, {5}, monkeypatch)
+        assert got == [
+            {
+                "pattern": "2 3 1",
+                "claim": "every forced period-5 pattern is the period-5 spiral",
+                "witness": "2 3 4 5 1",
+            }
+        ]
+
+    def test_stefan_only_no_odd_period_below_the_least(self, monkeypatch):
+        forced = {3: [stefan(3)], 5: [stefan(5)]}
+        got = self._stefan_only(forced, {3, 5}, {5}, monkeypatch)
+        assert got == [
+            {
+                "pattern": "2 3 1",
+                "claim": "no pattern of odd period 3 below 5 is forced",
+                "witness": "forced set at period 3 is nonempty",
+            }
+        ]
+
+    def test_stefan_only_no_division_period_six_doubles_the_three_spiral(
+        self, monkeypatch
+    ):
+        # no division and no block structure, so it doubles nothing
+        lone = Pattern((2, 3, 4, 5, 6, 1))
+        assert not has_division(lone) and not block_structures(lone)
+        forced = {6: [lone]}
+        got = self._stefan_only(forced, {6}, (), monkeypatch)
+        assert got == [
+            {
+                "pattern": "2 3 1",
+                "claim": "every forced no-division period-6 pattern doubles "
+                "the period-3 spiral",
+                "witness": "2 3 4 5 6 1",
+            }
+        ]
+
+
+class TestSpiralAtPeriodThree:
+    """stefan-only searches no forced set at period 3: the spiral is the only
+    canonical pattern there, so claim (1) holds at m = 3 without a search."""
+
+    def test_the_spiral_is_the_only_canonical_pattern_of_period_three(self):
+        assert list(enumerate_patterns(3)) == [stefan(3)]
+
+    @pytest.mark.parametrize(
+        "images, cap, searched",
+        [
+            ((2, 3, 1), 9, []),
+            # 6 is in nd but not in nbs, so claim (2) still searches period 6
+            ((2, 5, 8, 7, 6, 4, 3, 1), 8, [6]),
+        ],
+    )
+    def test_least_odd_period_three_searches_no_period_three_set(
+        self, images, cap, searched, monkeypatch
+    ):
+        pattern = Pattern(images)
+        report = nd_nbs(pattern, cap)
+        assert min(q for q in report.nbs if q % 2) == 3
+        periods = []
+
+        def recording(pattern, q):
+            periods.append(q)
+            return forced_patterns(pattern, q)
+
+        monkeypatch.setattr(overrot.verify, "forced_patterns", recording)
+        assert overrot.verify._check_stefan_only(pattern, {"max_period": cap}) == []
+        assert periods == searched
 
 
 def _report(nd, nbs):
