@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .patterns import Pattern, PatternError, is_convergent
@@ -192,40 +193,45 @@ def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
     displacement has one sign on each refined vertex: right[v] marks the
     falling ones.  A convergent pattern has one split, labelled Il and Ir;
     a divergent one labels the halves of J_i as Jil and Jir.
+
+    The space is built on integers.  J_i holds a fixed point exactly when
+    the map moves i and i+1 in opposite directions, and as f(a) = a every
+    vertex maps onto the interval between two points that are integers or
+    fixed points.  The vertices between two such points form a run of ids,
+    so each succ[v] is a range found by counting the vertices left of each
+    point, and a split point a is the only `Fraction`.
     """
-    pattern = Pattern(images)
-    f = p_linear(pattern)
-    points = f.fixed_points() if refined else []
-    splits = {int(a): a for a in points}
-    bounds, labels, pieces = [], [], []
-    for i in range(1, pattern.period):
-        if i in splits:
-            a = splits[i]
+    n = len(images)
+    rising = [images[x - 1] > x for x in range(1, n + 1)]
+    split = [refined and up != rise for up, rise in zip(rising, rising[1:])]
+    # at[x - 1] counts the vertices left of the integer point x
+    at = [x + k for x, k in enumerate(accumulate(split, initial=0))]
+    bounds, labels, right, runs, pieces = [], [], [], [], []
+    for i in range(1, n):
+        y, z = images[i - 1], images[i]
+        m = z - y
+        if split[i - 1]:
+            # v counts the vertices left of the fixed point a, which f fixes
+            a, v = Fraction(y - m * i, 1 - m), at[i - 1] + 1
             bounds += [(Fraction(i), a), (a, Fraction(i + 1))]
-            labels += ["Il", "Ir"] if len(points) == 1 else [f"J{i}l", f"J{i}r"]
-            pieces += [f.piece(i)] * 2
+            labels += ["Il", "Ir"] if sum(split) == 1 else [f"J{i}l", f"J{i}r"]
+            right += [not rising[i - 1], not rising[i]]
+            runs += [(at[y - 1], v), (v, at[z - 1])]
+            pieces += [(m, y - m * i)] * 2
         else:
             bounds.append((i, i + 1))
             labels.append(f"J{i}")
-            pieces.append(f.piece(i))
-    succ = []
-    for (lo, hi), (m, c) in zip(bounds, pieces):
-        img_lo, img_hi = sorted((m * lo + c, m * hi + c))
-        succ.append(
-            tuple(u for u, (ul, uh) in enumerate(bounds) if img_lo <= ul and uh <= img_hi)
-        )
+            right.append(refined and not rising[i - 1])
+            runs.append((at[y - 1], at[z - 1]))
+            pieces.append((m, y - m * i))
     return _Space(
         lows=tuple(lo for lo, _ in bounds),
         highs=tuple(hi for _, hi in bounds),
         slopes=tuple(m for m, _ in pieces),
         offsets=tuple(c for _, c in pieces),
-        succ=tuple(succ),
+        succ=tuple(tuple(range(min(run), max(run))) for run in runs),
         labels=tuple(labels),
-        # the displacement m x + c - x at the midpoint, doubled
-        right=tuple(
-            refined and (m - 1) * (lo + hi) + 2 * c < 0
-            for (lo, hi), (m, c) in zip(bounds, pieces)
-        ),
+        right=tuple(right),
         closing=[None] * len(bounds),
     )
 

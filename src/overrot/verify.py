@@ -114,20 +114,32 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
     67, 1987), as the P-linear map exhibits exactly the forced patterns
     (Alseda, Llibre & Misiurewicz, Combinatorial Dynamics and Entropy in
     Dimension One, 2.6): an nd/nbs orbit found brings its pattern's row along,
-    so the row gets only bits a plain scan would find, with fewer scans."""
+    so the row gets only bits a plain scan would find, with fewer scans.
+
+    A convergent pattern's orbit of over-rotation pair (p, q) alternates
+    sides of the one fixed point, half its points on each, exactly when
+    2p = q; then its lower half maps onto its upper half, a division, and
+    conversely a division forces 2p = q (over-rotation pairs: Blokh &
+    Misiurewicz, Ergodic Theory Dynam. Systems 17, 1997).  So a convergent
+    pattern walks the refined space at the targets 1 <= p < q / 2 only,
+    where every orbit sets the nd bit untested; a divergent one walks the
+    basic space and tests each orbit for a division."""
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
     rep = canonical(pattern)
+    convergent = is_convergent(rep)
     top, nd, nbs = _ND_NBS.get(rep.images, (2, 0, 0))
     for q in range(top + 1, cap + 1):
         # no block structure rules out division too (a division is a two-block
         # decomposition once the period exceeds 2), so an nbs bit answers q
         if nbs >> q & 1:
             continue
-        # orbit images are cyclic permutations by construction: no Pattern
-        for orbit in _iter_orbits(rep.images, q):
+        # orbit images are cyclic permutations by construction: no Pattern;
+        # no target walks the basic space
+        targets = range(1, (q + 1) // 2) if convergent else (None,)
+        for orbit in (o for p in targets for o in _iter_orbits(rep.images, q, target=p)):
             no_bs = next(_block_factors(orbit), None) is None
-            if not no_bs and (nd >> q & 1 or _has_division(orbit)):
+            if not no_bs and (nd >> q & 1 or not convergent and _has_division(orbit)):
                 continue
             # its pattern B is forced, and so is all B forces: OR in B's row,
             # up to the periods that both rows cover

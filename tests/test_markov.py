@@ -148,6 +148,66 @@ class TestRefinedSpace:
         assert space.right == (False, True, True, False, False, True)
 
 
+def fraction_space(images, refined):
+    """The covering space built in Fraction arithmetic, the integer builder's
+    test oracle: the fixed points come from the map's pieces, and a vertex
+    covers every vertex inside the image of its ends.  Returns the fields of
+    `_Space` but closing."""
+    f = p_linear(Pattern(images))
+    points = f.fixed_points() if refined else []
+    splits = {int(a): a for a in points}
+    bounds, labels, pieces = [], [], []
+    for i in range(1, len(images)):
+        if i in splits:
+            a = splits[i]
+            bounds += [(Fraction(i), a), (a, Fraction(i + 1))]
+            labels += ["Il", "Ir"] if len(points) == 1 else [f"J{i}l", f"J{i}r"]
+            pieces += [f.piece(i)] * 2
+        else:
+            bounds.append((i, i + 1))
+            labels.append(f"J{i}")
+            pieces.append(f.piece(i))
+    succ = []
+    for (lo, hi), (m, c) in zip(bounds, pieces):
+        img_lo, img_hi = sorted((m * lo + c, m * hi + c))
+        succ.append(
+            tuple(u for u, (ul, uh) in enumerate(bounds) if img_lo <= ul and uh <= img_hi)
+        )
+    return {
+        "lows": tuple(lo for lo, _ in bounds),
+        "highs": tuple(hi for _, hi in bounds),
+        "slopes": tuple(m for m, _ in pieces),
+        "offsets": tuple(c for _, c in pieces),
+        "succ": tuple(succ),
+        "labels": tuple(labels),
+        # the displacement m x + c - x at the midpoint, doubled
+        "right": tuple(
+            refined and (m - 1) * (lo + hi) + 2 * c < 0
+            for (lo, hi), (m, c) in zip(bounds, pieces)
+        ),
+    }
+
+
+class TestIntegerSpace:
+    """`_covering_space` builds on integers what the Fraction oracle builds,
+    field for field and type for type, for every pattern and its flip."""
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("period", range(2, 9))
+    def test_matches_the_fraction_builder(self, period, refined):
+        for p in enumerate_patterns(period):
+            for images in (p.images, flip(p).images):
+                space = _covering_space(images, refined)
+                expected = fraction_space(images, refined)
+                got = {name: getattr(space, name) for name in expected}
+                assert got == expected, images
+                for name in ("lows", "highs"):
+                    types = [type(x) for x in getattr(space, name)]
+                    assert types == [type(x) for x in expected[name]], (images, name)
+                assert all(type(x) is bool for x in space.right), images
+                assert space.closing == [None] * len(space.succ)
+
+
 class TestGerms:
     def test_germ_map_follows_orientation(self):
         p = Pattern((2, 3, 1))
@@ -344,27 +404,38 @@ class TestSpaceCache:
         monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
         _covering_space.cache_clear()
 
-    def test_an_nd_nbs_scan_builds_one_basic_space(self, monkeypatch):
+    def scanned_spaces(self, monkeypatch, images, refined):
+        """The spaces one nd/nbs scan of the pattern at cap 10 looks up, each
+        checked to be of the given kind and to be one cached space."""
         spaces, held = [], []
 
-        def recording(images, refined):
-            assert not refined
-            space = _covering_space(images, refined)
+        def recording(images, kind):
+            assert kind is refined
+            space = _covering_space(images, kind)
             spaces.append(space)
             held.append(list(space.closing))
             return space
 
         monkeypatch.setattr(overrot.forcing, "_covering_space", recording)
-        nd_nbs(Pattern((4, 3, 5, 6, 1, 2)), 10)
+        nd_nbs(Pattern(images), 10)
         info = _covering_space.cache_info()
         assert (info.misses, info.hits) == (1, len(spaces) - 1)
-        assert len(spaces) == 8  # one scan per period 3..10
         assert all(space is spaces[0] for space in spaces)
         # each start's rows are one list across the periods, extended in place:
         # start 0's, which every scan fills before it walks, up to row 10
         final = spaces[0].closing
         assert all(rows is final[s] for lists in held for s, rows in enumerate(lists) if rows)
         assert held[-1][0] is final[0] and len(final[0]) == 11
+        return spaces
+
+    def test_an_nd_nbs_scan_builds_one_basic_space(self, monkeypatch):
+        # a divergent pattern: one scan per period 3..10
+        assert len(self.scanned_spaces(monkeypatch, (3, 5, 2, 6, 4, 1), False)) == 8
+
+    def test_a_convergent_nd_nbs_scan_builds_one_refined_space(self, monkeypatch):
+        # one scan per period q in 3..10 and target 1 <= p < q / 2, less the
+        # three at (7, 3), (9, 4) and (10, 4) after an nbs orbit at a lower p
+        assert len(self.scanned_spaces(monkeypatch, (2, 4, 1, 3), True)) == 17
 
     def test_twist_insertion_and_spectrum_build_one_refined_space(self):
         three = Pattern((2, 3, 1))

@@ -22,7 +22,9 @@ from overrot import (
     flip,
     forced_patterns,
     has_division,
+    is_convergent,
     nd_nbs,
+    over_rotation_pair,
     stefan,
     verify_forcing_order,
     verify_lemmas,
@@ -366,17 +368,52 @@ class TestClosureAgainstPlainScan:
     def test_the_closure_skips_scans(self, monkeypatch):
         scans = []
 
-        def counting(images, q):
-            scans.append((images, q))
-            return _iter_orbits(images, q)
+        def counting(images, q, target=None):
+            scans.append((q, target))
+            return _iter_orbits(images, q, target=target)
 
         monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
         monkeypatch.setattr(overrot.verify, "_iter_orbits", counting)
         nd_nbs(Pattern((2, 3, 1)), CLOSURE_CAP)
         scans.clear()
-        # the 3-cycle found at q = 3 brings its nbs bits 5, 7, 8, 9, 10 along
+        # the 3-cycle found at q = 3 brings its nbs bits 5, 7, 8, 9, 10 along;
+        # the pattern is convergent, so each q walks the targets p < q / 2
         nd_nbs(Pattern((4, 3, 5, 6, 1, 2)), CLOSURE_CAP)
-        assert [q for _, q in scans] == [3, 4, 6]
+        assert scans == [(3, 1), (4, 1), (6, 1), (6, 2)]
+
+
+class TestDivisionStratum:
+    """Why a convergent pattern's nd/nbs scan walks only the targets
+    p < q / 2: its orbits of over-rotation pair (p, q) have a division exactly
+    when 2p = q (Blokh & Misiurewicz, ETDS 17, 1997), so the orbits at
+    p = q / 2 set no bit and those below set the nd bit untested."""
+
+    def test_every_half_turn_orbit_has_a_division(self):
+        orbits = 0
+        for n in range(3, 8):
+            for p in filter(is_convergent, enumerate_patterns(n)):
+                for q in range(2, 11, 2):
+                    for orbit in _iter_orbits(p.images, q, target=q // 2):
+                        assert _has_division(orbit), (str(p), q, orbit)
+                        orbits += 1
+        assert orbits == 120049
+        # convergence is needed: this divergent pattern has pair (3, 6) and
+        # no division, and the search at target 3 finds its own orbit
+        divergent = Pattern((3, 5, 2, 6, 4, 1))
+        assert not is_convergent(divergent) and not has_division(divergent)
+        assert over_rotation_pair(divergent) == (3, 6)
+        assert divergent.images in _iter_orbits(divergent.images, 6, target=3)
+
+    def test_no_orbit_below_half_a_turn_has_one(self):
+        orbits = 0
+        for n in range(3, 7):
+            for p in filter(is_convergent, enumerate_patterns(n)):
+                for q in range(3, 9):
+                    for target in range(1, (q + 1) // 2):
+                        for orbit in _iter_orbits(p.images, q, target=target):
+                            assert not _has_division(orbit), (str(p), q, orbit)
+                            orbits += 1
+        assert orbits == 6773
 
 
 class TestPeriodDispatch:
