@@ -88,16 +88,6 @@ class Degenerate:
     period: int = 0
 
 
-@dataclass(frozen=True)
-class AffineComposition:
-    """The composition of the affine pieces along a closed walk."""
-
-    slope: Fraction
-    offset: Fraction
-    domain_lo: Fraction
-    domain_hi: Fraction
-
-
 class NotTwist(NamedTuple):
     """Verdict: a same-rotation-number competitor exists (or must, by the
     monotonicity condition failing)."""
@@ -241,20 +231,6 @@ def _realize_orbit(pattern: Pattern, space, loop) -> Orbit | Degenerate:
         period=period,
         itinerary=tuple(space.labels[v] for v in ids),
         carrier=p_linear(pattern),
-    )
-
-
-def compose_loop(pattern: Pattern, loop) -> AffineComposition:
-    """The affine composition along a closed walk, with its start interval."""
-    space = _covering_space(pattern.images, False)
-    ids, prefixes = _compose(space, loop)
-    alpha, beta = prefixes[-1]
-    s = ids[0]
-    return AffineComposition(
-        slope=Fraction(alpha),
-        offset=Fraction(beta),
-        domain_lo=Fraction(space.lows[s]),
-        domain_hi=Fraction(space.highs[s]),
     )
 
 

@@ -129,7 +129,7 @@ def format_cycle(pattern: Pattern) -> str:
 
 def _flip_images(images: tuple[int, ...]) -> tuple[int, ...]:
     n = len(images)
-    return tuple(n + 1 - images[n - i] for i in range(1, n + 1))
+    return tuple([n + 1 - v for v in reversed(images)])
 
 
 def flip(pattern: Pattern) -> Pattern:
@@ -179,7 +179,7 @@ def has_division(pattern: Pattern) -> bool:
 def _has_division(images: tuple[int, ...]) -> bool:
     """`has_division` on one-line images."""
     half, odd = divmod(len(images), 2)
-    return not odd and all(images[i] > half for i in range(half))
+    return not odd and min(images[:half]) > half
 
 
 def is_doubling(pattern: Pattern) -> bool:

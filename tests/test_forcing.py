@@ -18,7 +18,6 @@ from overrot import (
     PatternError,
     TwistUpTo,
     canonical,
-    compose_loop,
     fixed_point,
     flip,
     forced_patterns,
@@ -133,24 +132,35 @@ class TestRealizeLoop:
         assert {f(x) for x in orbit.points} == set(orbit.points)
 
 
-class TestComposeLoop:
+class TestCompose:
+    """`_compose` and `_realize`, the kernel behind `realize_loop`, on the
+    basic covering space."""
+
+    def compose(self, pattern, loop):
+        space = _covering_space(pattern.images, False)
+        ids, prefixes = _compose(space, loop)
+        return space, ids, prefixes
+
     def test_two_loop_composition(self):
-        comp = compose_loop(THREE, (1, 2))
-        assert (comp.slope, comp.offset) == (-2, 5)
-        assert (comp.domain_lo, comp.domain_hi) == (1, 2)
+        space, ids, prefixes = self.compose(THREE, (1, 2))
+        assert prefixes[-1] == (-2, 5)
+        assert (space.lows[ids[0]], space.highs[ids[0]]) == (1, 2)
 
     def test_four_loop_composition(self):
-        comp = compose_loop(THREE, (1, 2, 2, 2))
-        assert (comp.slope, comp.offset) == (-8, 13)
+        _, _, prefixes = self.compose(THREE, (1, 2, 2, 2))
+        assert prefixes[-1] == (-8, 13)
 
     def test_fixed_point_matches_realization(self):
-        comp = compose_loop(THREE, (1, 2))
-        x = comp.offset / (1 - comp.slope)
+        space, ids, prefixes = self.compose(THREE, (1, 2))
+        d, nums = _realize(space, ids[0], prefixes)
+        alpha, beta = prefixes[-1]
+        x = Fraction(beta, 1 - alpha)
+        assert Fraction(nums[0], d) == x
         assert x in realize_loop(THREE, (1, 2)).points
 
     def test_rejects_non_edges(self):
         with pytest.raises(LoopError, match="no edge"):
-            compose_loop(THREE, (1, 1))
+            self.compose(THREE, (1, 1))
 
 
 @st.composite
@@ -183,11 +193,11 @@ class TestKernelProperties:
         f = result.carrier
         assert {f(x) for x in result.points} == set(result.points)
         assert len(result.points) == result.period
-        comp = compose_loop(pattern, walk)
-        assert any(
-            comp.domain_lo <= x <= comp.domain_hi and comp.slope * x + comp.offset == x
-            for x in result.points
-        )
+        space = _covering_space(pattern.images, False)
+        ids, prefixes = _compose(space, walk)
+        alpha, beta = prefixes[-1]
+        lo, hi = space.lows[ids[0]], space.highs[ids[0]]
+        assert any(lo <= x <= hi and alpha * x + beta == x for x in result.points)
 
 
 class TestForcedPatterns:

@@ -24,6 +24,7 @@ from overrot import (
     has_division,
     is_convergent,
     nd_nbs,
+    orp_spectrum,
     over_rotation_pair,
     stefan,
     verify_forcing_order,
@@ -52,6 +53,22 @@ def brute_force_canonical_count(n: int) -> int:
         flipped = tuple(n + 1 - images[n - 1 - i] for i in range(n))
         seen.add(min(images, flipped))
     return len(seen)
+
+
+def brute_force_stream(n: int) -> list[tuple[int, ...]]:
+    """The canonical images of period n in enumeration order, straight from
+    the definition: each cycle (1, *rest) in permutation order, kept when its
+    images are no larger than its flip's."""
+    out = []
+    for rest in itertools.permutations(range(2, n + 1)):
+        cycle = (1,) + rest
+        images = [0] * n
+        for i in range(n):
+            images[cycle[i] - 1] = cycle[(i + 1) % n]
+        images = tuple(images)
+        if images <= tuple(n + 1 - images[n - 1 - i] for i in range(n)):
+            out.append(images)
+    return out
 
 
 class TestEnumerate:
@@ -90,6 +107,20 @@ class TestEnumerate:
         assert [str(p) for p in enumerate_patterns(5)] == [
             str(p) for p in enumerate_patterns(5)
         ]
+
+    def test_the_stream_and_its_shards_match_the_definition(self):
+        for n in range(2, 10):
+            full = brute_force_stream(n)
+            assert [p.images for p in enumerate_patterns(n)] == full, n
+            for stride in range(1, 4):
+                for offset in range(stride):
+                    shard = enumerate_patterns(n, offset=offset, stride=stride)
+                    assert [p.images for p in shard] == full[offset::stride], (n, offset, stride)
+
+    @pytest.mark.parametrize("offset, stride", [(0, 0), (0, -1), (-1, 2), (2, 2), (3, 2)])
+    def test_rejects_a_bad_shard(self, offset, stride):
+        with pytest.raises(ValueError, match="stride"):
+            list(enumerate_patterns(5, offset=offset, stride=stride))
 
 
 class TestNdNbs:
@@ -306,18 +337,37 @@ class TestNdNbsTable:
             "v._ND_NBS[(2, 3, 1)] = (9, 1 << 3, 0)\n"
             "print(json.dumps(v.verify_trichotomy(7, 9, jobs=2).to_dict()))\n"
         )
-        src = os.path.dirname(os.path.dirname(overrot.verify.__file__))
-        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        run = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=300,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-        )
-        report = json.loads(run.stdout)
+        report = json.loads(run_fresh(script))
         assert [v["pattern"] for v in report["violations"]] == ["2 3 1"]
+
+    def test_a_two_job_sweep_checks_each_pattern_once(self):
+        # stefan-only scans every canonical pattern of periods 2-7, so a shard
+        # that dropped one would leave its row out of the table
+        script = (
+            "import overrot.verify as v\n"
+            "v.verify_forcing_order(7, 9, jobs={jobs})\n"
+            "v.verify_stefan_only(7, jobs={jobs})\n"
+            "print(len(v._ND_NBS), repr(sorted(v._ND_NBS.items())))\n"
+        )
+        one, two = (run_fresh(script.format(jobs=jobs)) for jobs in (1, 2))
+        assert one.split()[0] == "442"
+        assert two == one
+
+
+def run_fresh(script: str) -> str:
+    """The stdout of a Python script run in a new interpreter that imports
+    this checkout's overrot."""
+    src = os.path.dirname(os.path.dirname(overrot.verify.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    return run.stdout
 
 
 def plain_nd_nbs(images, cap):
@@ -414,6 +464,40 @@ class TestDivisionStratum:
                             assert not _has_division(orbit), (str(p), q, orbit)
                             orbits += 1
         assert orbits == 6773
+
+
+class TestConvergentNdAgainstSpectra:
+    """A convergent pattern forces a no-division pattern of period q >= 3
+    exactly when its over-rotation spectrum holds a pair (p, q) with 2p < q:
+    the rows checked against `orp_spectrum`, a search of its own, whatever
+    the table holds beforehand."""
+
+    CAP = 9
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return {
+            p.images: {
+                pair.q for pair in orp_spectrum(p, self.CAP) if pair.q >= 3 and 2 * pair.p < pair.q
+            }
+            for n in range(3, 8)
+            for p in filter(is_convergent, enumerate_patterns(n))
+        }
+
+    def test_from_an_empty_table(self, expected, monkeypatch):
+        for images, nd in expected.items():
+            monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+            assert nd_nbs(Pattern(images), self.CAP).nd == nd, images
+        assert len(expected) == 192
+
+    def test_from_the_full_table(self, expected, monkeypatch):
+        table = {}
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", table)
+        for p in small_patterns(7):
+            nd_nbs(p, self.CAP)
+        for images, nd in expected.items():
+            del table[images]
+            assert nd_nbs(Pattern(images), self.CAP).nd == nd, images
 
 
 class TestPeriodDispatch:
