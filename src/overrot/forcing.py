@@ -50,6 +50,7 @@ from .patterns import (
     OrpPair,
     Pattern,
     PatternError,
+    _cyclic,
     _flip_images,
     canonical,
     is_convergent,
@@ -249,7 +250,7 @@ def _iter_forced_patterns(images: tuple[int, ...], q: int) -> Iterator[Pattern]:
         key = min(orbit, _flip_images(orbit))
         if key not in seen:
             seen.add(key)
-            yield Pattern(key)
+            yield _cyclic(key)
 
 
 def forced_patterns(pattern: Pattern, q: int) -> frozenset[Pattern]:

@@ -127,6 +127,14 @@ def format_cycle(pattern: Pattern) -> str:
     return "(" + " ".join(str(v) for v in cycle) + ")"
 
 
+def _cyclic(images: tuple[int, ...]) -> Pattern:
+    """A `Pattern` of one-line images that are a cyclic permutation by
+    construction, built without re-validating them."""
+    pattern = object.__new__(Pattern)
+    object.__setattr__(pattern, "images", images)
+    return pattern
+
+
 def _flip_images(images: tuple[int, ...]) -> tuple[int, ...]:
     n = len(images)
     return tuple([n + 1 - v for v in reversed(images)])
@@ -141,7 +149,7 @@ def canonical(pattern: Pattern) -> Pattern:
     """The lexicographically smaller of the pattern and its mirror."""
     flipped = _flip_images(pattern.images)
     if flipped < pattern.images:
-        return Pattern(flipped)
+        return _cyclic(flipped)
     return pattern
 
 

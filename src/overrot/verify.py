@@ -31,10 +31,11 @@ from .forcing import (
     orp_spectrum,
 )
 from .markov import fixed_point, fundamental_loop_pprime
-from .orders import OrpPair, n_r
+from .orders import OrpPair, _star_rank, n_r
 from .patterns import (
     Pattern,
     _block_factors,
+    _cyclic,
     _flip_images,
     _has_division,
     block_structures,
@@ -110,7 +111,7 @@ def enumerate_patterns(period: int, *, offset: int = 0, stride: int = 1) -> Iter
             skip -= 1
             continue
         skip = stride - 1
-        yield Pattern(_cycle_images(rest, period))
+        yield _cyclic(_cycle_images(rest, period))
 
 
 def _cycle_images(rest: tuple[int, ...], period: int) -> tuple[int, ...]:
@@ -133,6 +134,23 @@ def _periods(bits: int, cap: int) -> frozenset[int]:
     return frozenset(q for q in range(3, cap + 1) if bits >> q & 1)
 
 
+def _no_division_orbits(images: tuple[int, ...], q: int, convergent: bool) -> Iterator:
+    """The one-line images of the period-q orbits of a pattern's map that
+    have no division, as `_iter_orbits` yields them (not canonicalized).
+
+    A convergent pattern's orbit of over-rotation pair (p, q) alternates
+    sides of the one fixed point, half its points on each, exactly when
+    2p = q; then its lower half maps onto its upper half, a division, and
+    conversely a division forces 2p = q (over-rotation pairs: Blokh &
+    Misiurewicz, Ergodic Theory Dynam. Systems 17, 1997).  So a convergent
+    pattern's are the orbits of the refined space at the targets
+    1 <= p < q / 2, untested; a divergent one's are the basic-space orbits
+    that a division test lets through."""
+    if convergent:
+        return (o for p in range(1, (q + 1) // 2) for o in _iter_orbits(images, q, target=p))
+    return (o for o in _iter_orbits(images, q) if not _has_division(o))
+
+
 def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
     """Scan periods 3..cap for forced no-division / no-block-structure
     patterns; the report is for the canonical representative.  A bit rests
@@ -141,32 +159,25 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
     (Alseda, Llibre & Misiurewicz, Combinatorial Dynamics and Entropy in
     Dimension One, 2.6): an nd/nbs orbit found brings its pattern's row along,
     so the row gets only bits a plain scan would find, with fewer scans.
-
-    A convergent pattern's orbit of over-rotation pair (p, q) alternates
-    sides of the one fixed point, half its points on each, exactly when
-    2p = q; then its lower half maps onto its upper half, a division, and
-    conversely a division forces 2p = q (over-rotation pairs: Blokh &
-    Misiurewicz, Ergodic Theory Dynam. Systems 17, 1997).  So a convergent
-    pattern walks the refined space at the targets 1 <= p < q / 2 only,
-    where every orbit sets the nd bit untested; a divergent one walks the
-    basic space and tests each orbit for a division."""
+    Periods are scanned in the paper's order 4, 6, 3, 8, 10, 5, ...: an nbs
+    orbit of a period early in it forces nbs orbits of every period after it,
+    so its row settles those periods unscanned.  Every bit is found or
+    brought in from an exact row, so the row does not depend on the order.
+    Only orbits without a division can set a bit (`_no_division_orbits`)."""
     if cap < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
     rep = canonical(pattern)
     top, nd, nbs = _ND_NBS.get(rep.images, (2, 0, 0))
     # only a scan reads it, so a row that covers the cap skips the test
     convergent = top < cap and is_convergent(rep)
-    for q in range(top + 1, cap + 1):
+    for q in sorted(range(top + 1, cap + 1), key=_star_rank):
         # no block structure rules out division too (a division is a two-block
         # decomposition once the period exceeds 2), so an nbs bit answers q
         if nbs >> q & 1:
             continue
-        # orbit images are cyclic permutations by construction: no Pattern;
-        # no target walks the basic space
-        targets = range(1, (q + 1) // 2) if convergent else (None,)
-        for orbit in (o for p in targets for o in _iter_orbits(rep.images, q, target=p)):
+        for orbit in _no_division_orbits(rep.images, q, convergent):
             no_bs = next(_block_factors(orbit), None) is None
-            if not no_bs and (nd >> q & 1 or not convergent and _has_division(orbit)):
+            if not no_bs and nd >> q & 1:
                 continue
             # its pattern B is forced, and so is all B forces: OR in B's row,
             # up to the periods that both rows cover
@@ -278,8 +289,8 @@ def _check_stefan_only(pattern: Pattern, params: dict) -> list[dict]:
     is the period-m spiral, and no odd period strictly between 1 and m is
     forced at all.  At m = 3 this needs no search: the spiral `2 3 1` is the
     only canonical pattern of period 3.  (2) When period 4n+2 is in nd but
-    not in nbs, every forced no-division pattern of period 4n+2 is a
-    doubling whose factor is the period-(2n+1) spiral.
+    not in nbs, every forced no-division pattern of period 4n+2 (searched
+    by `_no_division_orbits`) doubles the period-(2n+1) spiral.
     """
     cap = params["max_period"]
     report = nd_nbs(pattern, cap)
@@ -307,26 +318,23 @@ def _check_stefan_only(pattern: Pattern, params: dict) -> list[dict]:
                         f"forced set at period {q} is nonempty",
                     )
                 )
+    rep = report.pattern
     for half in range(1, (cap - 2) // 4 + 1):
         q = 4 * half + 2
         if q not in report.nd or q in report.nbs:
             continue
-        spiral = stefan(2 * half + 1)
-        for forced in sorted(forced_patterns(pattern, q), key=lambda p: p.images):
-            if has_division(forced):
-                continue
-            factors = [
-                dec.factor
-                for dec in block_structures(forced)
-                if dec.block_size == 2
-            ]
-            if not factors or canonical(factors[0]) != spiral:
+        spiral = stefan(2 * half + 1).images
+        orbits = _no_division_orbits(rep.images, q, is_convergent(rep))
+        for key in sorted({min(o, _flip_images(o)) for o in orbits}):
+            # block sizes come ascending, so size 2 comes first if at all
+            size, factor = next(_block_factors(key), (0, ()))
+            if size != 2 or min(factor, _flip_images(factor)) != spiral:
                 out.append(
                     _violation(
                         pattern,
                         f"every forced no-division period-{q} pattern doubles "
                         f"the period-{2 * half + 1} spiral",
-                        str(forced),
+                        str(_cyclic(key)),
                     )
                 )
     return out
@@ -477,7 +485,8 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
     Periods go one at a time, lowest first, and each period's patterns are
     split by stride into one task per worker, with at most one worker per CPU.
     One worker runs its tasks in this process, so caches and tracing see the
-    work; more run them in one process pool per suite.  Each task carries
+    work, and its tasks carry no rows: they read the table itself.  More
+    workers run them in one process pool per suite, and each task carries
     this process's nd/nbs rows of its period and every lower one, so the
     workers start from the table under any start method (fork, forkserver,
     spawn), and the shards' rows are merged back after each period, keeping
@@ -490,7 +499,7 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
     violations = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for period in periods:
-            known = {images: row for images, row in _ND_NBS.items() if len(images) <= period}
+            known = {im: row for im, row in _ND_NBS.items() if len(im) <= period} if pool else {}
             tasks = [
                 (suite, period, offset, workers, tuple(params.items()), known)
                 for offset in range(workers)

@@ -15,6 +15,7 @@ import overrot.verify
 from overrot import (
     NdNbsReport,
     Pattern,
+    PatternError,
     VerificationReport,
     block_structures,
     canonical,
@@ -35,7 +36,7 @@ from overrot import (
 )
 from overrot.forcing import _iter_orbits
 from overrot.orders import star_precedes
-from overrot.patterns import _block_factors, _has_division
+from overrot.patterns import _block_factors, _flip_images, _has_division
 
 
 def brute_force_canonical_count(n: int) -> int:
@@ -121,6 +122,34 @@ class TestEnumerate:
     def test_rejects_a_bad_shard(self, offset, stride):
         with pytest.raises(ValueError, match="stride"):
             list(enumerate_patterns(5, offset=offset, stride=stride))
+
+
+class TestCyclicByConstruction:
+    """The patterns the library builds from images that are cycles by
+    construction skip validation; each must be the pattern the validating
+    constructor builds from the same images."""
+
+    @staticmethod
+    def _validated(pattern):
+        assert type(pattern.images) is tuple
+        same = Pattern(pattern.images)
+        assert same == pattern and hash(same) == hash(pattern)
+
+    def test_enumerated_patterns_and_their_flips(self):
+        for n in range(2, 10):
+            for p in enumerate_patterns(n):
+                self._validated(p)
+                self._validated(canonical(flip(p)))
+
+    def test_forced_patterns(self):
+        for p in small_patterns(6):
+            for forced in forced_patterns(p, 6):
+                self._validated(forced)
+
+    @pytest.mark.parametrize("images", [(), (1, 1), (2, 1, 3), (2, 3, 4, 1, 6, 5), (1.0,)])
+    def test_the_public_constructor_still_validates(self, images):
+        with pytest.raises(PatternError):
+            Pattern(images)
 
 
 class TestNdNbs:
@@ -426,10 +455,28 @@ class TestClosureAgainstPlainScan:
         monkeypatch.setattr(overrot.verify, "_iter_orbits", counting)
         nd_nbs(Pattern((2, 3, 1)), CLOSURE_CAP)
         scans.clear()
-        # the 3-cycle found at q = 3 brings its nbs bits 5, 7, 8, 9, 10 along;
-        # the pattern is convergent, so each q walks the targets p < q / 2
+        # periods go in the paper's order 4, 6, 3, 8, 10, 5, 7, 9; the 3-cycle
+        # found at q = 3 brings its nbs bits 8, 10, 5, 7, 9 along; the pattern
+        # is convergent, so each q walks the targets p < q / 2
         nd_nbs(Pattern((4, 3, 5, 6, 1, 2)), CLOSURE_CAP)
-        assert scans == [(3, 1), (4, 1), (6, 1), (6, 2)]
+        assert scans == [(4, 1), (6, 1), (6, 2), (3, 1)]
+
+    def test_a_period_four_row_settles_every_period(self, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        verify_forcing_order(7, CLOSURE_CAP)
+        scans = []
+
+        def counting(images, q, target=None):
+            scans.append((q, target))
+            return _iter_orbits(images, q, target=target)
+
+        monkeypatch.setattr(overrot.verify, "_iter_orbits", counting)
+        # the first orbit at q = 4 has no block structure, and its row's nbs
+        # bits are every period 4 precedes: 3..10; ascending order would
+        # scan q = 3 first
+        report = nd_nbs(Pattern((2, 3, 4, 5, 6, 7, 8, 1)), CLOSURE_CAP)
+        assert scans == [(4, 1)]
+        assert report.nbs == report.nd == frozenset(range(3, CLOSURE_CAP + 1))
 
 
 class TestDivisionStratum:
@@ -464,6 +511,39 @@ class TestDivisionStratum:
                             assert not _has_division(orbit), (str(p), q, orbit)
                             orbits += 1
         assert orbits == 6773
+
+
+class TestNoDivisionStream:
+    """The orbits `_no_division_orbits` yields, canonicalized, are exactly the
+    forced patterns without a division."""
+
+    @staticmethod
+    def _stream_against_forced_sets(patterns, q, convergent):
+        sizes = []
+        for p in patterns:
+            got = {
+                min(o, _flip_images(o))
+                for o in overrot.verify._no_division_orbits(p.images, q, convergent)
+            }
+            want = {f.images for f in forced_patterns(p, q) if not has_division(f)}
+            assert got == want, (str(p), q)
+            sizes.append(len(got))
+        return len(sizes), sum(sizes)
+
+    @pytest.mark.parametrize(
+        "top, q, counts", [(7, 6, (192, 761)), (6, 10, (45, 4659))]
+    )
+    def test_convergent_patterns_walk_the_targets_below_half(self, top, q, counts):
+        patterns = [
+            p for n in range(3, top + 1) for p in filter(is_convergent, enumerate_patterns(n))
+        ]
+        assert self._stream_against_forced_sets(patterns, q, True) == counts
+
+    def test_divergent_patterns_test_each_orbit(self):
+        patterns = [
+            p for n in range(3, 7) for p in enumerate_patterns(n) if not is_convergent(p)
+        ]
+        assert self._stream_against_forced_sets(patterns, 6, False) == (36, 519)
 
 
 class TestConvergentNdAgainstSpectra:
@@ -542,6 +622,24 @@ class TestPeriodDispatch:
                 assert all(known[images] == table[images] for images in below)
 
 
+    def test_one_job_tasks_carry_no_rows(self, monkeypatch):
+        known = []
+        shard_worker = overrot.verify._shard_worker
+
+        def recording(task):
+            known.append(task[5])
+            return shard_worker(task)
+
+        monkeypatch.setattr(overrot.verify, "_shard_worker", recording)
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        assert verify_forcing_order(6, 8, jobs=1).passed
+        # one worker is this process: its tasks read the table itself
+        assert known == [{}] * 4
+        assert len(overrot.verify._ND_NBS) == sum(
+            1 for p in small_patterns(6) if p.period >= 3 and not has_division(p)
+        )
+
+
 def _claims_under_a_row(checker, images, params, monkeypatch, row=(9, 0, 0)):
     """A checker's violations when the table holds `row` for `images` (by
     default: it forces nothing up to cap 9), sorted the way a report sorts
@@ -609,11 +707,17 @@ class TestClaimViolations:
         )
 
     @staticmethod
-    def _stefan_only(forced, nd, nbs, monkeypatch):
+    def _stefan_only(forced, nd, nbs, monkeypatch, orbits=None):
         """stefan-only's violations on `2 3 1` at cap 9 when the table row has
-        the periods `nd` and `nbs` and `forced` maps a period to its forced set."""
+        the periods `nd` and `nbs`, `forced` maps a period to its forced set
+        (claim 1) and `orbits` maps one to its no-division orbits (claim 2)."""
         monkeypatch.setattr(
             overrot.verify, "forced_patterns", lambda pattern, q: forced.get(q, ())
+        )
+        monkeypatch.setattr(
+            overrot.verify,
+            "_no_division_orbits",
+            lambda images, q, convergent: (orbits or {}).get(q, ()),
         )
         row = (9, sum(1 << q for q in nd), sum(1 << q for q in nbs))
         return _claims_under_a_row(
@@ -653,8 +757,7 @@ class TestClaimViolations:
         # no division and no block structure, so it doubles nothing
         lone = Pattern((2, 3, 4, 5, 6, 1))
         assert not has_division(lone) and not block_structures(lone)
-        forced = {6: [lone]}
-        got = self._stefan_only(forced, {6}, (), monkeypatch)
+        got = self._stefan_only({}, {6}, (), monkeypatch, orbits={6: [lone.images]})
         assert got == [
             {
                 "pattern": "2 3 1",
@@ -676,7 +779,7 @@ class TestSpiralAtPeriodThree:
         "images, cap, searched",
         [
             ((2, 3, 1), 9, []),
-            # 6 is in nd but not in nbs, so claim (2) still searches period 6
+            # 6 is in nd but not in nbs, so claim (2) still walks period 6
             ((2, 5, 8, 7, 6, 4, 3, 1), 8, [6]),
         ],
     )
@@ -687,12 +790,18 @@ class TestSpiralAtPeriodThree:
         report = nd_nbs(pattern, cap)
         assert min(q for q in report.nbs if q % 2) == 3
         periods = []
+        no_division_orbits = overrot.verify._no_division_orbits
 
         def recording(pattern, q):
             periods.append(q)
             return forced_patterns(pattern, q)
 
+        def recording_orbits(images, q, convergent):
+            periods.append(q)
+            return no_division_orbits(images, q, convergent)
+
         monkeypatch.setattr(overrot.verify, "forced_patterns", recording)
+        monkeypatch.setattr(overrot.verify, "_no_division_orbits", recording_orbits)
         assert overrot.verify._check_stefan_only(pattern, {"max_period": cap}) == []
         assert periods == searched
 
