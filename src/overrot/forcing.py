@@ -42,7 +42,6 @@ from .markov import (
     _minimal_period,
     _realize,
     fixed_point,
-    fundamental_loop,
     fundamental_loop_pprime,
     p_linear,
 )
@@ -362,7 +361,7 @@ def insert_rotation(pattern: Pattern, cap: int | None = None) -> Orbit:
     pair (k+1, n+2), and is never a doubling.  When the left endpoint of the
     fixed-point interval is not hit from its own side, the mirror of that
     construction runs on the pattern itself: the loop starts at its right
-    end, the germ (n, L), and the passage left-right is inserted after its
+    end, the left germ of n, and the passage left-right is inserted after its
     single right-half visit.  DegenerateRealizationError is raised when the
     extended loop does not realize an orbit of period n+2.
     """
@@ -385,9 +384,11 @@ def insert_rotation(pattern: Pattern, cap: int | None = None) -> Orbit:
         # the left endpoint of the fixed-point interval is hit from the left
         half, other = "Il", "Ir"
     else:
-        # the mirror image of the case above: start at the right end
-        germs, _ = fundamental_loop(pattern)
-        k = next(t for t, germ in enumerate(germs) if germ.point == n)
+        # the mirror image of the case above: start at the right end, k
+        # steps from 1 along the cycle
+        k, x = 0, 1
+        while x != n:
+            k, x = k + 1, pattern.images[x - 1]
         loop = loop[k:] + loop[:k]
         half, other = "Ir", "Il"
     if loop.count(half) != 1:

@@ -1,4 +1,4 @@
-"""Piecewise-linear models of patterns: maps, covering spaces, and germs.
+"""Piecewise-linear models of patterns: maps and covering spaces.
 
 A pattern of period n determines the connect-the-dots map on [1, n] that
 sends i to pi(i) and is affine on every basic interval J_i = [i, i+1].  The
@@ -10,10 +10,11 @@ This module owns the covering spaces and the compose-and-realize kernel:
 points, `_compose` validates a closed walk and composes its pieces, and
 `_realize` turns the compositions into an exact periodic orbit: integer
 numerators over one denominator, as slopes and offsets are integers, so
-`Fraction` appears only at the API boundary.  The public views
-(`markov_graph`, `fixed_point`) read the same spaces.  The closed-walk search,
-which keeps its closing rows in the spaces, and the forcing queries built
-on the kernel live in `forcing`.
+`Fraction` appears only at the API boundary.  The public views read the
+same spaces: `markov_graph` the basic one, and `fundamental_loop_pprime`,
+which follows the germ of 1 around the pattern, the refined one.  The
+closed-walk search, which keeps its closing rows in the spaces, and the
+forcing queries built on the kernel live in `forcing`.
 """
 
 from __future__ import annotations
@@ -37,17 +38,6 @@ class LoopError(ValueError):
 
 class DegenerateRealizationError(ValueError):
     """Raised when a construction that must yield a fresh orbit fails to."""
-
-
-LEFT = "L"
-RIGHT = "R"
-
-
-class Germ(NamedTuple):
-    """A one-sided neighborhood of an orbit point: the point plus a side."""
-
-    point: int
-    side: str
 
 
 class PLinearMap:
@@ -107,18 +97,17 @@ def p_linear(pattern: Pattern) -> PLinearMap:
 
 @dataclass(frozen=True)
 class MarkovGraph:
-    """Covering graph on basic intervals; vertex i stands for J_i."""
+    """Covering graph on basic intervals: succ[i - 1] lists, ascending, the k
+    with an edge J_i -> J_k."""
 
     num_vertices: int
-    adjacency: tuple[tuple[bool, ...], ...]
+    succ: tuple[tuple[int, ...], ...]
 
     def has_edge(self, i: int, k: int) -> bool:
-        return self.adjacency[i - 1][k - 1]
+        return k in self.succ[i - 1]
 
     def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(
-            k for k in range(1, self.num_vertices + 1) if self.adjacency[i - 1][k - 1]
-        )
+        return self.succ[i - 1]
 
 
 def markov_graph(pattern: Pattern) -> MarkovGraph:
@@ -127,8 +116,7 @@ def markov_graph(pattern: Pattern) -> MarkovGraph:
     if n < 2:
         raise PatternError("covering graphs need period at least 2")
     succ = _covering_space(pattern.images, False).succ
-    rows = tuple(tuple(k in adj for k in range(n - 1)) for adj in succ)
-    return MarkovGraph(n - 1, rows)
+    return MarkovGraph(n - 1, tuple(tuple(k + 1 for k in run) for run in succ))
 
 
 def fixed_point(pattern: Pattern):
@@ -310,66 +298,23 @@ def _realize(space: _Space, s: int, prefixes: list):
     return d, [a * n + b * d for a, b in prefixes[:-1]]
 
 
-def germ_map(pattern: Pattern, germ: Germ) -> Germ:
-    """Image of a germ: the image point, with the side carried by the local slope."""
-    n = pattern.period
-    point, side = germ
-    if side == RIGHT:
-        if not 1 <= point <= n - 1:
-            raise ValueError(f"germ ({point}, R) has no interval to the right")
-        i = point
-    elif side == LEFT:
-        if not 2 <= point <= n:
-            raise ValueError(f"germ ({point}, L) has no interval to the left")
-        i = point - 1
-    else:
-        raise ValueError(f"germ side must be L or R, got {side!r}")
-    slope = pattern.images[i] - pattern.images[i - 1]
-    image_side = side if slope > 0 else (LEFT if side == RIGHT else RIGHT)
-    return Germ(pattern.image(point), image_side)
-
-
-def _germ_interval(germ: Germ) -> int:
-    """Index of the basic interval a germ lives in."""
-    return germ.point if germ.side == RIGHT else germ.point - 1
-
-
-def fundamental_loop(pattern: Pattern):
-    """The germ orbit of (1, R) and the basic intervals it passes through.
-
-    The germ returns to (1, R) after exactly one full period; the interval
-    sequence is a closed walk in the covering graph that realizes the pattern
-    itself.
-    """
-    n = pattern.period
-    if n < 2:
-        raise PatternError("germ orbits need period at least 2")
-    germs = []
-    g = Germ(1, RIGHT)
-    for _ in range(n):
-        germs.append(g)
-        g = germ_map(pattern, g)
-    intervals = tuple(_germ_interval(g) for g in germs)
-    return tuple(germs), intervals
-
-
 def fundamental_loop_pprime(pattern: Pattern) -> tuple[str, ...]:
     """The fundamental loop over the refined intervals split at the fixed point.
 
     Interval J_i containing the fixed point a splits into Il = [i, a] and
-    Ir = [a, i+1]; all other intervals keep their J labels.  Each germ is
-    labelled by the refined interval holding its one-sided neighborhood.
+    Ir = [a, i+1]; all other intervals keep their J labels.  The loop follows
+    the germ of 1 from the right, a one-sided neighborhood of an orbit point,
+    for one period: the right germ of x lies in the interval starting at x,
+    the left germ in the one ending at x, and a falling piece swaps the side.
+    No fixed point is an integer, so each germ lies in one refined interval.
     Convergent patterns only.
     """
     fixed_point(pattern)  # raises unless convergent, of period >= 2
     space = _covering_space(pattern.images, True)
-    bounds = tuple(zip(space.lows, space.highs, space.labels))
-    germs, _ = fundamental_loop(pattern)
-    return tuple(
-        next(
-            label
-            for lo, hi, label in bounds
-            if (lo <= point < hi if side == RIGHT else lo < point <= hi)
-        )
-        for point, side in germs
-    )
+    loop, x, right = [], 1, True
+    for _ in range(pattern.period):
+        v = space.lows.index(x) if right else space.highs.index(x)
+        loop.append(space.labels[v])
+        right ^= space.slopes[v] < 0
+        x = pattern.images[x - 1]
+    return tuple(loop)

@@ -66,6 +66,8 @@ def eta(m: int) -> OrpPair:
 
 def _check_pair(pair) -> OrpPair:
     p, q = pair
+    if type(p) is not int or type(q) is not int:
+        raise ValueError(f"over-rotation pairs need integer entries, got ({p!r}, {q!r})")
     if p < 1 or q < 2 or 2 * p > q:
         raise ValueError(f"over-rotation pairs need 0 < p/q <= 1/2, got ({p}, {q})")
     return OrpPair(p, q)

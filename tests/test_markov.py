@@ -1,4 +1,4 @@
-"""Pattern-linear maps, covering graphs, and germ dynamics."""
+"""Pattern-linear maps, covering graphs, and the fundamental loop."""
 
 import itertools
 from fractions import Fraction
@@ -9,23 +9,22 @@ import overrot.forcing
 import overrot.verify
 from overrot import (
     DivergentPatternError,
-    Germ,
     Pattern,
     PatternError,
     fixed_point,
     flip,
-    fundamental_loop,
     fundamental_loop_pprime,
-    germ_map,
     insert_rotation,
     is_convergent,
     is_twist_bounded,
     markov_graph,
     orp_spectrum,
     p_linear,
+    pattern_of_orbit,
     realize_loop,
     stefan,
 )
+from overrot.forcing import _realize_orbit
 from overrot.markov import DegenerateRealizationError, _covering_space, _realize
 from overrot.verify import enumerate_patterns, nd_nbs
 
@@ -90,6 +89,21 @@ class TestMarkovGraph:
             for i in range(1, n):
                 for k in range(1, n):
                     assert g.has_edge(i, k) == h.has_edge(n - i, n - k)
+
+    @pytest.mark.parametrize("period", range(2, 9))
+    def test_edges_are_the_intervals_each_image_spans(self, period):
+        # the definition: J_i -> J_k when the image of J_i, the interval
+        # between pi(i) and pi(i+1), contains J_k = [k, k+1]
+        for canon in enumerate_patterns(period):
+            for p in (canon, flip(canon)):
+                g = markov_graph(p)
+                assert g.num_vertices == period - 1
+                for i in range(1, period):
+                    lo, hi = sorted(p.images[i - 1 : i + 1])
+                    spanned = tuple(k for k in range(1, period) if lo <= k and k + 1 <= hi)
+                    assert g.successors(i) == spanned, (str(p), i)
+                    for k in range(1, period):
+                        assert g.has_edge(i, k) == (k in spanned), (str(p), i, k)
 
     def test_every_vertex_has_a_successor(self):
         for n in range(2, 7):
@@ -208,33 +222,24 @@ class TestIntegerSpace:
                 assert space.closing == [None] * len(space.succ)
 
 
-class TestGerms:
-    def test_germ_map_follows_orientation(self):
-        p = Pattern((2, 3, 1))
-        assert germ_map(p, Germ(1, "R")) == Germ(2, "R")
-        assert germ_map(p, Germ(2, "R")) == Germ(3, "L")
-        assert germ_map(p, Germ(3, "L")) == Germ(1, "R")
+def germ_image(p, point, side):
+    """The image of the germ of a point from one side: the image point, the
+    side kept by a rising piece and swapped by a falling one."""
+    i = point if side == "R" else point - 1
+    if p.images[i] < p.images[i - 1]:
+        side = "L" if side == "R" else "R"
+    return p.images[point - 1], side
 
-    def test_rejects_out_of_range(self):
-        p = Pattern((2, 3, 1))
-        with pytest.raises(ValueError):
-            germ_map(p, Germ(4, "L"))
-        with pytest.raises(ValueError):
-            germ_map(p, Germ(1, "x"))
 
-    def test_fundamental_loop_of_three_cycle(self):
-        germs, intervals = fundamental_loop(Pattern((2, 3, 1)))
-        assert germs == (Germ(1, "R"), Germ(2, "R"), Germ(3, "L"))
-        assert intervals == (1, 2, 2)
-
-    def test_fundamental_loop_closes_and_spans(self):
-        for n in range(2, 7):
-            for p in enumerate_patterns(n):
-                germs, intervals = fundamental_loop(p)
-                assert len(germs) == n
-                assert germs[0] == Germ(1, "R")
-                assert germ_map(p, germs[-1]) == Germ(1, "R")
-                assert 1 in intervals and (n - 1) in intervals
+def germ_orbit(p):
+    """The germ orbit of (1, R) over one period, a test oracle: each germ with
+    the basic interval J_i holding its one-sided neighborhood."""
+    out, germ = [], (1, "R")
+    for _ in range(p.period):
+        point, side = germ
+        out.append((point, side, point if side == "R" else point - 1))
+        germ = germ_image(p, point, side)
+    return out
 
 
 class TestRefinedLoop:
@@ -247,15 +252,19 @@ class TestRefinedLoop:
         with pytest.raises(DivergentPatternError):
             fundamental_loop_pprime(Pattern((3, 1, 4, 2)))
 
+    def test_the_germ_oracle_on_the_three_cycle(self):
+        p = Pattern((2, 3, 1))
+        assert germ_orbit(p) == [(1, "R", 1), (2, "R", 2), (3, "L", 2)]
+        assert germ_image(p, 3, "L") == (1, "R")
+
     def test_labels_agree_with_the_germs_position_against_the_fixed_point(self):
         # oracle: a germ in the split interval is labelled by which side of
         # the fixed point its point lies on
         def oracle(p):
             a, split = fixed_point(p)
-            germs, intervals = fundamental_loop(p)
             return tuple(
-                f"J{i}" if i != split else ("Il" if germ.point < a else "Ir")
-                for germ, i in zip(germs, intervals)
+                f"J{i}" if i != split else ("Il" if point < a else "Ir")
+                for point, _, i in germ_orbit(p)
             )
 
         for n in range(2, 9):
@@ -263,6 +272,17 @@ class TestRefinedLoop:
                 for p in (canon, flip(canon)):
                     if is_convergent(p):
                         assert fundamental_loop_pprime(p) == oracle(p), str(p)
+
+    @pytest.mark.parametrize("period", range(2, 9))
+    def test_realizing_the_loop_gives_back_the_pattern(self, period):
+        # the loop is the itinerary of the pattern's own orbit, 1 first
+        for canon in enumerate_patterns(period):
+            for p in (canon, flip(canon)):
+                if is_convergent(p):
+                    loop = fundamental_loop_pprime(p)
+                    orbit = _realize_orbit(p, _covering_space(p.images, True), loop)
+                    assert orbit.itinerary == loop, str(p)
+                    assert pattern_of_orbit(orbit) == p, str(p)
 
     def test_germs_pointing_at_the_fixed_point_stay_pointed_at_it(self):
         # for spiral patterns the germ toward the fixed point maps to a germ
@@ -275,8 +295,8 @@ class TestRefinedLoop:
                     toward = (side == "R") == (point < a)
                     if not toward:
                         continue
-                    image = germ_map(p, Germ(point, side))
-                    assert (image.side == "R") == (image.point < a)
+                    image, image_side = germ_image(p, point, side)
+                    assert (image_side == "R") == (image < a)
 
 
 def _prefixes(space, ids):

@@ -149,6 +149,14 @@ class TestOrpOrder:
             with pytest.raises(ValueError):
                 orp_precedes(OrpPair(*bad), OrpPair(1, 2))
 
+    def test_rejects_entries_that_are_not_integers(self):
+        # a float is not an integer, and a bool is not taken for 1
+        for bad in ((1, 2.5), (True, 3), (1, Fraction(3))):
+            with pytest.raises(ValueError, match="integer entries"):
+                orp_precedes(bad, (1, 3))
+            with pytest.raises(ValueError, match="integer entries"):
+                orp_precedes((1, 3), bad)
+
     def test_total_on_small_pairs(self):
         pairs = [
             OrpPair(p, q) for q in range(2, 12) for p in range(1, q // 2 + 1)

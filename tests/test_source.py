@@ -52,3 +52,20 @@ def test_every_cache_has_a_literal_bound(path):
         elif _name(node) == "lru_cache" and node not in bounded:
             found.append(node.lineno)
     assert not found, f"{path.name}: unbounded or non-literal cache at lines {found}"
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a name dropped from the imports but not from __all__, or the reverse,
+    # breaks `from overrot import *` only when someone runs it
+    path = Path(overrot.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert overrot.__all__ == sorted(overrot.__all__)
+    assert len(set(overrot.__all__)) == len(overrot.__all__)
+    assert set(overrot.__all__) == set(imported)
+    assert len(imported) == len(set(imported))
