@@ -27,7 +27,6 @@ verdicts, which `insert_rotation` asks for again, are kept as results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -49,38 +48,45 @@ from .patterns import (
     OrpPair,
     Pattern,
     PatternError,
+    _Frozen,
     _cyclic,
     _flip_images,
+    _integer,
     canonical,
     is_convergent,
     over_rotation_number,
 )
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """A periodic orbit of a pattern-linear map, held exactly.
+class Orbit(_Frozen):
+    """A periodic orbit of a pattern-linear map, held exactly, immutable.
 
     points are sorted ascending; period is the exact minimal period (always
     the number of points); itinerary lists the interval labels the orbit was
     realized through, which may be longer than the period when the defining
-    walk retraced the orbit.
+    walk retraced the orbit.  Equality, hash and repr leave out the carrier.
     """
 
-    points: tuple
-    period: int
-    itinerary: tuple[str, ...]
-    carrier: PLinearMap = field(compare=False, repr=False)
+    __slots__ = ("points", "period", "itinerary", "carrier")
 
-    def __post_init__(self) -> None:
-        if self.period != len(self.points):
+    def __init__(
+        self, points: tuple, period: int, itinerary: tuple[str, ...], carrier: PLinearMap
+    ) -> None:
+        if period != len(points):
             raise ValueError("period must equal the number of points")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
+        if any(b <= a for a, b in zip(points, points[1:])):
             raise ValueError("points must be strictly increasing")
+        for name, value in zip(Orbit.__slots__, (points, period, itinerary, carrier)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.points, self.period, self.itinerary
+
+    def __repr__(self) -> str:
+        return "Orbit(points={!r}, period={!r}, itinerary={!r})".format(*self._key())
 
 
-@dataclass(frozen=True)
-class Degenerate:
+class Degenerate(NamedTuple):
     """A loop realization that collapsed onto the base cycle or vanished."""
 
     reason: str
@@ -259,7 +265,7 @@ def forced_patterns(pattern: Pattern, q: int) -> frozenset[Pattern]:
     canonical representative; mirror patterns force mirror orbits, so the
     canonical forced sets of a pattern and its flip coincide.
     """
-    if q < 1:
+    if _integer(q, "period") < 1:
         raise ValueError(f"period must be at least 1, got {q}")
     return frozenset(_iter_forced_patterns(canonical(pattern).images, q))
 
@@ -272,7 +278,7 @@ def forces(a: Pattern, b: Pattern) -> bool:
 
 def orp_spectrum(pattern: Pattern, cap: int) -> frozenset[OrpPair]:
     """Over-rotation pairs of all forced patterns of periods 2..cap."""
-    if cap < 2:
+    if _integer(cap, "cap") < 2:
         raise ValueError(f"cap must be at least 2, got {cap}")
     images = canonical(pattern).images
     # an orbit's half-turn count is its crossing count in the refined space,
@@ -321,7 +327,7 @@ def is_twist_bounded(pattern: Pattern, cap: int | None = None) -> NotTwist | Twi
         raise PatternError("twist verdicts need period at least 2")
     if cap is None:
         cap = 3 * pattern.period
-    if cap < 2:
+    if _integer(cap, "cap") < 2:
         raise ValueError(f"cap must be at least 2, got {cap}")
     # the verdict is mirror-invariant (competitors mirror along with the
     # pattern), so it is computed and cached on the canonical representative

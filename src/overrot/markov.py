@@ -19,7 +19,6 @@ forcing queries built on the kernel live in `forcing`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -95,18 +94,20 @@ def p_linear(pattern: Pattern) -> PLinearMap:
     return PLinearMap(pattern)
 
 
-@dataclass(frozen=True)
-class MarkovGraph:
+class MarkovGraph(NamedTuple):
     """Covering graph on basic intervals: succ[i - 1] lists, ascending, the k
-    with an edge J_i -> J_k."""
+    with an edge J_i -> J_k.  A vertex is an int in 1..num_vertices."""
 
     num_vertices: int
     succ: tuple[tuple[int, ...], ...]
 
     def has_edge(self, i: int, k: int) -> bool:
-        return k in self.succ[i - 1]
+        self.successors(k)  # raises unless k is a vertex
+        return k in self.successors(i)
 
     def successors(self, i: int) -> tuple[int, ...]:
+        if type(i) is not int or not 1 <= i <= self.num_vertices:
+            raise ValueError(f"vertices run 1..{self.num_vertices}, got {i!r}")
         return self.succ[i - 1]
 
 

@@ -9,7 +9,6 @@ lexicographically smaller of the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -18,15 +17,44 @@ class PatternError(ValueError):
     """Raised for input that does not define a cyclic permutation."""
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A cyclic permutation of {1, ..., n} in one-line notation."""
+def _integer(value, name: str) -> int:
+    """The value of an integer argument; a non-int, bools included, raises."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
-    images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+class _Frozen:
+    """An immutable record.  Its fields are its `__slots__`, in the order its
+    constructor takes them, and `__init__` sets each once; it equals, and
+    hashes as, the records of its class with the same `_key()`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Pattern(_Frozen):
+    """A cyclic permutation of {1, ..., n} in one-line notation, immutable."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        images = tuple(images)
         n = len(images)
         if n == 0:
             raise PatternError("empty pattern")
@@ -45,6 +73,10 @@ class Pattern:
             raise PatternError(
                 f"not a single cycle: point 1 has orbit length {length} of {n}"
             )
+        object.__setattr__(self, "images", images)
+
+    def _key(self) -> tuple:
+        return (self.images,)
 
     @property
     def period(self) -> int:
@@ -68,8 +100,7 @@ class OrpPair(NamedTuple):
     q: int
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """A division of {1..n} into consecutive blocks permuted by the pattern."""
 
     num_blocks: int
@@ -268,7 +299,7 @@ def stefan(period: int) -> Pattern:
     2n+2-i, so the orbit spirals outward alternating sides, e.g. period 5
     gives "3 5 4 2 1".
     """
-    if period < 3 or period % 2 == 0:
+    if _integer(period, "period") < 3 or period % 2 == 0:
         raise PatternError(f"spiral patterns need an odd period >= 3, got {period}")
     n = (period - 1) // 2
     images = [0] * period

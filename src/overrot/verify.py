@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -38,6 +36,7 @@ from .patterns import (
     _cyclic,
     _flip_images,
     _has_division,
+    _integer,
     block_structures,
     canonical,
     has_division,
@@ -47,8 +46,7 @@ from .patterns import (
 )
 
 
-@dataclass(frozen=True)
-class NdNbsReport:
+class NdNbsReport(NamedTuple):
     """Which periods in 3..cap carry forced no-division (nd) and forced
     no-block-structure (nbs) patterns, for one canonical pattern."""
 
@@ -58,8 +56,7 @@ class NdNbsReport:
     nbs: frozenset[int]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one suite: the swept parameters and every violation found."""
 
     suite: str
@@ -90,9 +87,9 @@ def enumerate_patterns(period: int, *, offset: int = 0, stride: int = 1) -> Iter
     tie, and only the shard's patterns are built: every shard walks every
     cycle, counting the canonical ones, so the shards split the same stream.
     """
-    if period < 2:
+    if _integer(period, "period") < 2:
         raise ValueError(f"period must be at least 2, got {period}")
-    if stride < 1 or not 0 <= offset < stride:
+    if _integer(stride, "stride") < 1 or not 0 <= _integer(offset, "offset") < stride:
         raise ValueError(f"need stride >= 1 and 0 <= offset < stride, got {offset}, {stride}")
     last = period - 2
     skip = offset
@@ -164,7 +161,7 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
     so its row settles those periods unscanned.  Every bit is found or
     brought in from an exact row, so the row does not depend on the order.
     Only orbits without a division can set a bit (`_no_division_orbits`)."""
-    if cap < 3:
+    if _integer(cap, "cap") < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
     rep = canonical(pattern)
     top, nd, nbs = _ND_NBS.get(rep.images, (2, 0, 0))
@@ -475,6 +472,12 @@ def _shard_worker(task) -> tuple[list[dict], dict]:
     return out, rows
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool; its module is imported only when a sweep starts workers."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _violation_key(v: dict):
     return (v["claim"], v["pattern"], v["witness"])
 
@@ -492,7 +495,7 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
     spawn), and the shards' rows are merged back after each period, keeping
     the longer scan: later periods and suites reuse the earlier scans.
     """
-    if jobs < 1:
+    if _integer(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     periods = range(SUITES[suite].first_period, params["max_period"] + 1)
     workers = min(jobs, os.cpu_count() or 1)
@@ -517,7 +520,7 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
 def verify_forcing_order(m_max: int = 7, s_max: int = 9, jobs: int = 1) -> VerificationReport:
     """Sweep all patterns of periods 3..m_max against the doubled order up to
     s_max: no-division and no-block-structure forcing both go down it."""
-    if not 3 <= m_max <= s_max:
+    if not 3 <= _integer(m_max, "m_max") <= _integer(s_max, "s_max"):
         raise ValueError(f"need 3 <= m_max <= s_max, got {m_max}, {s_max}")
     params = {"max_period": m_max, "cap": s_max}
     return _run_suite("forcing-order", params, jobs)
@@ -526,7 +529,7 @@ def verify_forcing_order(m_max: int = 7, s_max: int = 9, jobs: int = 1) -> Verif
 def verify_trichotomy(n_max: int = 7, cap: int = 9, jobs: int = 1) -> VerificationReport:
     """Sweep all patterns of periods 2..n_max: the pair of forced-period sets
     (no-division, no-block-structure) always takes one of three shapes."""
-    if not 3 <= n_max <= cap:
+    if not 3 <= _integer(n_max, "n_max") <= _integer(cap, "cap"):
         raise ValueError(f"need 3 <= n_max <= cap, got {n_max}, {cap}")
     params = {"max_period": n_max, "cap": cap}
     return _run_suite("trichotomy", params, jobs)
@@ -536,7 +539,7 @@ def verify_refrem(m_max: int = 7, s_max: int = 9, jobs: int = 1) -> Verification
     """Sweep all no-division patterns of periods 3..m_max: they force
     no-block-structure patterns down the doubled order, including at their
     own period unless it is twice an odd number."""
-    if not 3 <= m_max <= s_max:
+    if not 3 <= _integer(m_max, "m_max") <= _integer(s_max, "s_max"):
         raise ValueError(f"need 3 <= m_max <= s_max, got {m_max}, {s_max}")
     params = {"max_period": m_max, "cap": s_max}
     return _run_suite("refrem", params, jobs)
@@ -545,7 +548,7 @@ def verify_refrem(m_max: int = 7, s_max: int = 9, jobs: int = 1) -> Verification
 def verify_stefan_only(n_max: int = 7, jobs: int = 1) -> VerificationReport:
     """Sweep all patterns of periods 2..n_max for spiral minimality at odd
     periods and doubled-spiral minimality at periods twice an odd."""
-    if n_max < 3:
+    if _integer(n_max, "n_max") < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
     params = {"max_period": n_max}
     return _run_suite("stefan-only", params, jobs)
@@ -560,7 +563,7 @@ def verify_lemmas(n_max: int = 10, cap: int = 9, jobs: int = 1) -> VerificationR
     fundamental loops; and over-rotation pairs step down by (1,2).  The
     last three are checked through period min(8, n_max), which the report
     states as claim_max_period."""
-    if n_max < 2 or cap < 3:
+    if _integer(n_max, "n_max") < 2 or _integer(cap, "cap") < 3:
         raise ValueError(f"need n_max >= 2 and cap >= 3, got {n_max}, {cap}")
     params = {"max_period": n_max, "cap": cap, "claim_max_period": min(8, n_max)}
     return _run_suite("lemmas", params, jobs)

@@ -1,6 +1,8 @@
 """Exact orbit realization, forcing queries, twist verdicts, insertion."""
 
+import copy
 import functools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -676,3 +678,34 @@ class TestOrbitType:
         a = realize_loop(THREE, (1, 2))
         b = realize_loop(THREE, (1, 2))
         assert a == b
+
+    def test_equality_and_hash_are_over_points_period_and_itinerary(self):
+        a = realize_loop(THREE, (1, 2))
+        assert a.carrier is not realize_loop(THREE, (1, 2)).carrier
+        assert hash(a) == hash((a.points, a.period, a.itinerary))
+        assert a != (a.points, a.period, a.itinerary)
+        assert a != realize_loop(THREE, (2, 1))
+
+    def test_repr_leaves_out_the_carrier(self):
+        assert repr(realize_loop(THREE, (1, 2))) == (
+            "Orbit(points=(Fraction(5, 3), Fraction(8, 3)), period=2, "
+            "itinerary=('J1', 'J2'))"
+        )
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        orbit = realize_loop(THREE, (1, 2))
+        for name in ("points", "period", "itinerary", "carrier"):
+            with pytest.raises(AttributeError):
+                setattr(orbit, name, None)
+            with pytest.raises(AttributeError):
+                delattr(orbit, name)
+        assert orbit.period == 2
+
+    @pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))])
+    def test_pickle_and_deepcopy_round_trip(self, round_trip):
+        orbit = insert_rotation(Pattern((2, 3, 1)))
+        back = round_trip(orbit)
+        assert type(back) is Orbit
+        assert back == orbit and repr(back) == repr(orbit)
+        # the carrier comes along, so the copy still gives its pattern
+        assert pattern_of_orbit(back) == pattern_of_orbit(orbit)

@@ -105,6 +105,19 @@ class TestMarkovGraph:
                     for k in range(1, period):
                         assert g.has_edge(i, k) == (k in spanned), (str(p), i, k)
 
+    @pytest.mark.parametrize("images", [(2, 3, 1), (3, 5, 4, 2, 1)])
+    def test_rejects_vertices_outside_one_to_n(self, images):
+        g = markov_graph(Pattern(images))
+        n = g.num_vertices
+        for bad in (0, -1, n + 1, True, 1.0, "1", None):
+            with pytest.raises(ValueError, match="vertices run"):
+                g.successors(bad)
+            with pytest.raises(ValueError, match="vertices run"):
+                g.has_edge(bad, 1)
+            with pytest.raises(ValueError, match="vertices run"):
+                g.has_edge(1, bad)
+        assert [g.successors(i) for i in range(1, n + 1)] == list(g.succ)
+
     def test_every_vertex_has_a_successor(self):
         for n in range(2, 7):
             for p in enumerate_patterns(n):

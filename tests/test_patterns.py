@@ -1,5 +1,7 @@
 """Pattern construction, notation, symmetry, and classification."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -79,6 +81,34 @@ class TestConstruction:
         p = Pattern((2, 3, 1))
         assert str(p) == "2 3 1"
         assert repr(p) == 'Pattern("2 3 1")'
+
+    def test_equal_only_to_patterns_of_the_same_images(self):
+        p = Pattern((2, 3, 1))
+        assert p == Pattern([2, 3, 1])
+        assert p != ((2, 3, 1),)
+        assert p != (2, 3, 1)
+        assert p != Pattern((3, 1, 2))
+        # the hash of the tuple of its fields, on which the order of a
+        # printed frozenset of patterns depends
+        assert hash(p) == hash(((2, 3, 1),))
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        p = Pattern((2, 3, 1))
+        with pytest.raises(AttributeError):
+            p.images = (3, 1, 2)
+        with pytest.raises(AttributeError):
+            p.other = 1
+        with pytest.raises(AttributeError):
+            del p.images
+        assert p.images == (2, 3, 1)
+
+    @pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+    def test_pickle_and_deepcopy_round_trip(self, round_trip):
+        for p in (Pattern((2, 3, 1)), canonical(Pattern((3, 1, 2))), stefan(7)):
+            back = round_trip(p)
+            assert type(back) is Pattern
+            assert back == p and back.images == p.images
+            assert repr(back) == repr(p)
 
 
 class TestNotation:

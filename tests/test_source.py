@@ -1,6 +1,9 @@
 """Source-level rules for the library code."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,27 @@ def test_all_lists_exactly_the_imported_names():
     assert len(set(overrot.__all__)) == len(overrot.__all__)
     assert set(overrot.__all__) == set(imported)
     assert len(imported) == len(set(imported))
+
+
+def test_a_cold_import_of_the_cli_loads_no_pool_or_dataclass_machinery():
+    # every query runs in a fresh process and pays for each module the import
+    # loads; the process pool is imported only when a sweep starts workers
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import overrot.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(overrot.__file__).parent.parent)
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    added = set(run.stdout.split())
+    assert "overrot.cli" in added
+    assert not added & {"dataclasses", "concurrent.futures.process", "multiprocessing"}

@@ -1,10 +1,12 @@
 """Pattern enumeration, forced-period scans, and the verification sweeps."""
 
+import copy
 import inspect
 import itertools
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 
@@ -24,6 +26,7 @@ from overrot import (
     forced_patterns,
     has_division,
     is_convergent,
+    is_twist_bounded,
     nd_nbs,
     orp_spectrum,
     over_rotation_pair,
@@ -191,6 +194,55 @@ class TestNdNbs:
     def test_rejects_small_cap(self):
         with pytest.raises(ValueError):
             nd_nbs(Pattern((2, 1)), 2)
+
+
+THREE = Pattern((2, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "fn, args, kwargs",
+    [
+        (nd_nbs, (THREE, 9.5), {}),
+        (nd_nbs, (THREE, True), {}),
+        (forced_patterns, (THREE, 3.0), {}),
+        (orp_spectrum, (THREE, "4"), {}),
+        (is_twist_bounded, (THREE, 6.0), {}),
+        (stefan, (5.0,), {}),
+        (enumerate_patterns, (3.0,), {}),
+        (enumerate_patterns, (4,), {"stride": 2.0}),
+        (enumerate_patterns, (4,), {"offset": True, "stride": 2}),
+        (verify_trichotomy, (5.0, 8), {}),
+        (verify_trichotomy, (5, 8.0), {}),
+        (verify_trichotomy, (5, 8), {"jobs": "2"}),
+        (verify_trichotomy, (5, 8), {"jobs": 2.5}),
+        (verify_trichotomy, (5, 8), {"jobs": True}),
+        (verify_forcing_order, (5, 8.0), {}),
+        (verify_refrem, (5.0, 8), {}),
+        (verify_stefan_only, (5.0,), {}),
+        (verify_lemmas, (5, 9.0), {}),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_integer_arguments_reject_other_types(fn, args, kwargs):
+    # bools too: True is an int to Python, but not a period, cap or job count
+    with pytest.raises(ValueError, match="must be an integer"):
+        result = fn(*args, **kwargs)
+        if inspect.isgenerator(result):
+            next(result)
+
+
+@pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))])
+def test_reports_pickle_and_deepcopy_round_trip(round_trip):
+    failing = VerificationReport(
+        suite="demo",
+        params=(("max_period", 3),),
+        violations=({"pattern": "2 3 1", "claim": "a", "witness": "x"},),
+    )
+    for report in (nd_nbs(Pattern((3, 5, 4, 2, 1)), 6), verify_stefan_only(4), failing):
+        back = round_trip(report)
+        assert type(back) is type(report)
+        assert back == report and repr(back) == repr(report)
+    assert round_trip(failing).to_dict() == failing.to_dict()
 
 
 class TestSuites:
