@@ -10,14 +10,14 @@ yields the pattern of each orbit, ranked on its numerators; every query
 `verify`) is a reduction over that stream.  Only `realize_loop` and
 `insert_rotation` return orbit points, as `Fraction`s.
 
-Two interval families are walked: the basic intervals of the pattern itself,
-and the refined family that splits every basic interval holding a fixed point
-at that point.  On each refined interval the map moves every point the same
-way, up (rising) or down (falling), so a walk's falling-to-rising transitions
-count the half-turns of the orbit it realizes: its over-rotation count, for
-divergent patterns as well as convergent ones.  Searching the refined family
-with a crossing target finds the orbits of one over-rotation pair only; the
-twist verdicts and the over-rotation spectra are such targeted searches.
+The search walks the refined intervals, which split every basic interval
+holding a fixed point at that point; the basic ones serve only `realize_loop`
+and `markov`'s graph.  On each refined interval the map moves every point the
+same way, so a walk's falling-to-rising transitions count the half-turns of
+the orbit it realizes, for divergent patterns as well as convergent ones, and
+a search with crossing target p finds the orbits of pair (p, q) only.  The
+forced sets chain the targets 1..q // 2; forcing, the over-rotation spectra
+and the twist verdicts know their pairs and walk one target each.
 
 The covering spaces, which hold the closing rows the search fills, and the
 compose-and-realize kernel live in `markov`; this module owns the search and
@@ -51,6 +51,7 @@ from .patterns import (
     _Frozen,
     _cyclic,
     _flip_images,
+    _half_turns,
     _integer,
     canonical,
     is_convergent,
@@ -115,35 +116,25 @@ def _canonical_rotation(walk: list, s: int) -> bool:
     return True
 
 
-def _iter_orbits(
-    images: tuple[int, ...], q: int, target: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """The patterns of the exact-period-q orbits of a pattern's map.
+def _iter_orbits(images: tuple[int, ...], q: int, target: int) -> Iterator[tuple[int, ...]]:
+    """The patterns of a pattern's map's orbits of over-rotation pair (target, q).
 
-    Walks the closed length-q walks of the covering space, one canonical
-    rotation each, realizes each walk's periodic orbit and yields the one-line
-    images of the orbits of minimal period q (not canonicalized; one per
-    canonical walk, so an orbit traced by two walks is yielded twice).  No
-    point leaves this generator.  Without a crossing target the basic space
-    is walked, which never crosses, so the goal is 0; with one, the refined
-    space.  Only walks making exactly the goal's number of falling-to-rising
-    transitions survive, and every orbit yielded then has that many
-    half-turns: its over-rotation pair is (target, q).  Each start vertex's
+    Walks the closed length-q walks of the refined covering space, one
+    canonical rotation each, realizes each walk's periodic orbit and yields
+    the one-line images of the orbits of minimal period q (not canonicalized;
+    one per canonical walk, so an orbit traced by two walks is yielded
+    twice).  No point leaves this generator.  Only walks making exactly
+    `target` falling-to-rising transitions survive.  Each start vertex's
     closing rows in the space (`_Space.closing`), filled here up to row q,
     say exactly which vertices can still close the walk with the crossings
     left, so every edge taken lies on a closed walk of length q meeting the
-    goal, and a start vertex without one is skipped.  The rows are 0 below
+    target, and a start vertex without one is skipped.  The rows are 0 below
     the start, which alone keeps each walk on the vertices from s up.  The
     depth-first search holds, per depth, the walk's vertex, its crossings
     and an iterator over that vertex's successors, and the prefix
     compositions in the one list `_realize` reads.
     """
-    if len(images) < 2:
-        if q == 1:
-            yield (1,)
-        return
-    space = _covering_space(images, target is not None)
-    goal = target or 0
+    space = _covering_space(images, True)
     slopes = space.slopes
     offsets = space.offsets
     succ = space.succ
@@ -162,7 +153,7 @@ def _iter_orbits(
                     for u in succ[v]:
                         row[v] |= last[u] << (right[v] and not right[u])
             rows.append(row)
-        if not rows[q][s] >> goal & 1:
+        if not rows[q][s] >> target & 1:
             continue
         walk = [s] * q
         cr = [0] * q
@@ -193,8 +184,8 @@ def _iter_orbits(
             closing = rows[q - t - 1]
             for u in options[t]:
                 ncr = cr[t] + (1 if right[v] and not right[u] else 0)
-                # bit goal - ncr of the closing row; none when ncr > goal
-                if closing[u] << ncr >> goal & 1:
+                # bit target - ncr of the closing row; none when ncr > target
+                if closing[u] << ncr >> target & 1:
                     t += 1
                     walk[t] = u
                     cr[t] = ncr
@@ -249,13 +240,18 @@ def pattern_of_orbit(orbit: Orbit) -> Pattern:
 
 
 def _iter_forced_patterns(images: tuple[int, ...], q: int) -> Iterator[Pattern]:
-    """Canonical patterns of exact-period-q realized orbits, deduplicated."""
+    """Canonical patterns of exact-period-q realized orbits, deduplicated:
+    the fixed point at q = 1, else the orbits of 1..q // 2 half-turns."""
+    if q == 1:
+        yield Pattern((1,))
+        return
     seen = set()
-    for orbit in _iter_orbits(images, q):
-        key = min(orbit, _flip_images(orbit))
-        if key not in seen:
-            seen.add(key)
-            yield _cyclic(key)
+    for p in range(1, q // 2 + 1):
+        for orbit in _iter_orbits(images, q, p):
+            key = min(orbit, _flip_images(orbit))
+            if key not in seen:
+                seen.add(key)
+                yield _cyclic(key)
 
 
 def forced_patterns(pattern: Pattern, q: int) -> frozenset[Pattern]:
@@ -272,8 +268,10 @@ def forced_patterns(pattern: Pattern, q: int) -> frozenset[Pattern]:
 
 def forces(a: Pattern, b: Pattern) -> bool:
     """True when every map exhibiting a also exhibits b."""
-    target = canonical(b)
-    return target in _iter_forced_patterns(canonical(a).images, target.period)
+    images = canonical(b).images
+    # b's orbits have b's half-turns; a fixed point, b of period 1, is forced
+    orbits = _iter_orbits(canonical(a).images, len(images), _half_turns(images))
+    return len(images) == 1 or any(min(o, _flip_images(o)) == images for o in orbits)
 
 
 def orp_spectrum(pattern: Pattern, cap: int) -> frozenset[OrpPair]:

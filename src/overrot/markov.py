@@ -13,8 +13,8 @@ numerators over one denominator, as slopes and offsets are integers, so
 `Fraction` appears only at the API boundary.  The public views read the
 same spaces: `markov_graph` the basic one, and `fundamental_loop_pprime`,
 which follows the germ of 1 around the pattern, the refined one.  The
-closed-walk search, which keeps its closing rows in the spaces, and the
-forcing queries built on the kernel live in `forcing`.
+closed-walk search, which walks only refined spaces and keeps its closing
+rows in them, and the forcing queries built on the kernel live in `forcing`.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ class PLinearMap:
         self._offsets = tuple(
             images[i - 1] - self._slopes[i - 1] * i for i in range(1, self.n)
         )
-
-    def piece(self, i: int):
-        """(slope, offset) of the affine piece on J_i = [i, i+1]."""
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"basic intervals run J_1..J_{self.n - 1}, got J_{i}")
-        return self._slopes[i - 1], self._offsets[i - 1]
 
     def __call__(self, x):
         """Exact image of a number in [1, n]."""
@@ -144,10 +138,11 @@ class _Space(NamedTuple):
     its image covers.  right[v] tells whether the map is falling on v, that
     is, moves every point of v down; for a convergent pattern these are
     exactly the vertices right of its fixed point.  In the basic space, which
-    is not split at the fixed points, it is False everywhere, so no walk ever
-    crosses.
+    is not split at the fixed points and which the walk search never walks
+    (only `markov_graph` and `realize_loop` read it), it is False everywhere.
 
-    closing[s] is None until the walk search first starts at vertex s, then
+    closing[s] is None until the walk search first starts at vertex s of a
+    refined space, then
     the list of its closing rows built so far: row k maps each vertex v to a
     bitmask with bit c set when some walk of k edges leads from v back to s
     through vertices >= s with exactly c falling-to-rising crossings.  Row 0
@@ -169,8 +164,9 @@ class _Space(NamedTuple):
 
 # The sweeps and the twist queries look a space up again only right after
 # the last lookup of it (reuse distance 0), or, across suites, after about
-# 3,000 other spaces, which no bounded cache holds.  Two entries keep the
-# basic and the refined space of the pattern in hand.
+# 3,000 other spaces, which no bounded cache holds.  Every search walks the
+# refined space; two entries keep it in hand next to the basic space that
+# `markov_graph` or `realize_loop` asks for on the same pattern.
 @lru_cache(maxsize=2)
 def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
     """The covering space of a pattern's pattern-linear map.

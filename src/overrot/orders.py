@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .patterns import OrpPair
+from .patterns import OrpPair, _integer
 
 
 def _sharkovsky_key(m: int) -> tuple:
@@ -28,7 +28,9 @@ def _sharkovsky_key(m: int) -> tuple:
 
 def sharkovsky_precedes(m: int, s: int) -> bool:
     """Strict period order: 3, 5, 7, ..., 2*3, 2*5, ..., 4, 2, 1."""
-    return m != s and _sharkovsky_key(m) < _sharkovsky_key(s)
+    if _integer(m, "period") == _integer(s, "period"):
+        return False
+    return _sharkovsky_key(m) < _sharkovsky_key(s)
 
 
 def _star_rank(m: int) -> int:
@@ -43,13 +45,15 @@ def star_precedes(m: int, s: int) -> bool:
     Encoded by the rank 2m for even m and 4m+1 for odd m; smaller rank
     precedes.
     """
-    return m != s and _star_rank(m) < _star_rank(s)
+    if _integer(m, "period") == _integer(s, "period"):
+        return False
+    return _star_rank(m) < _star_rank(s)
 
 
 def n_r(r: int, cap: int) -> set[int]:
     """{r} together with every s <= cap that r precedes in star_precedes."""
-    _star_rank(r)
-    return {r} | {s for s in range(3, cap + 1) if star_precedes(r, s)}
+    _star_rank(_integer(r, "period"))
+    return {r} | {s for s in range(3, _integer(cap, "cap") + 1) if star_precedes(r, s)}
 
 
 def eta(m: int) -> OrpPair:
@@ -57,7 +61,7 @@ def eta(m: int) -> OrpPair:
 
     eta(2s) = (s-1, 2s) and eta(2n+1) = (n, 2n+1), defined for m >= 3.
     """
-    if m < 3:
+    if _integer(m, "period") < 3:
         raise ValueError(f"eta is defined for periods >= 3, got {m}")
     if m % 2 == 0:
         return OrpPair(m // 2 - 1, m)

@@ -135,17 +135,17 @@ def _no_division_orbits(images: tuple[int, ...], q: int, convergent: bool) -> It
     """The one-line images of the period-q orbits of a pattern's map that
     have no division, as `_iter_orbits` yields them (not canonicalized).
 
-    A convergent pattern's orbit of over-rotation pair (p, q) alternates
-    sides of the one fixed point, half its points on each, exactly when
-    2p = q; then its lower half maps onto its upper half, a division, and
-    conversely a division forces 2p = q (over-rotation pairs: Blokh &
-    Misiurewicz, Ergodic Theory Dynam. Systems 17, 1997).  So a convergent
-    pattern's are the orbits of the refined space at the targets
-    1 <= p < q / 2, untested; a divergent one's are the basic-space orbits
-    that a division test lets through."""
-    if convergent:
-        return (o for p in range(1, (q + 1) // 2) for o in _iter_orbits(images, q, target=p))
-    return (o for o in _iter_orbits(images, q) if not _has_division(o))
+    In a division every point moves to the other half, so the orbit makes
+    q / 2 half-turns: the orbits at the targets p < q / 2 have none and are
+    yielded untested.  Conversely a convergent pattern's orbits at 2p = q alternate
+    sides of its one fixed point, and the lower half maps onto the upper
+    (over-rotation pairs: Blokh & Misiurewicz, Ergodic Theory Dynam. Systems
+    17, 1997); only a divergent pattern's are walked, each one tested."""
+    last = (q - 1) // 2 if convergent else q // 2
+    for p in range(1, last + 1):
+        for orbit in _iter_orbits(images, q, p):
+            if 2 * p < q or not _has_division(orbit):
+                yield orbit
 
 
 def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:

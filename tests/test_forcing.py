@@ -292,21 +292,19 @@ class TestSearchAgainstKernel:
         assert orp_spectrum(pattern, 8) == expected
 
 
-CONVERGENT_2_TO_6 = [
-    p for n in range(2, 7) for p in enumerate_patterns(n) if is_convergent(p)
-]
+CANONICAL_2_TO_6 = [p for n in range(2, 7) for p in enumerate_patterns(n)]
 
 
 class TestClosingRows:
-    """The closing rows that prune the walk search, against brute force."""
+    """The closing rows that prune the walk search, against brute force, on
+    the refined spaces of convergent and divergent patterns alike."""
 
-    @pytest.mark.parametrize("refined", [False, True])
-    @pytest.mark.parametrize("pattern", CONVERGENT_2_TO_6, ids=str)
-    def test_rows_are_the_crossing_counts_of_closing_walks(self, pattern, refined):
+    @pytest.mark.parametrize("pattern", CANONICAL_2_TO_6, ids=str)
+    def test_rows_are_the_crossing_counts_of_closing_walks(self, pattern):
         depth = 8
-        space = _covering_space(pattern.images, refined)
+        space = _covering_space(pattern.images, True)
         # the search fills every start vertex's rows up to the walk length
-        list(_iter_orbits(pattern.images, depth, 0 if refined else None))
+        list(_iter_orbits(pattern.images, depth, 0))
         for s in range(len(space.succ)):
 
             @functools.cache
@@ -330,25 +328,15 @@ class TestClosingRows:
 
 
 def spectrum_by_enumeration(images: tuple[int, ...], cap: int) -> frozenset:
-    """The spectrum read off the exact-period orbits of the basic space.
-
-    For each period q it enumerates orbits until all q // 2 half-turn counts
-    have turned up, so a pair that is not forced costs a full enumeration.
-    The oracle of the crossing-target search behind `orp_spectrum`.
+    """The spectrum read off the exact-period orbits of the basic space, as
+    the brute-force `orbit_stream` finds them: the oracle of the
+    crossing-target search behind `orp_spectrum`.
     """
-    pairs = set()
-    for q in range(2, cap + 1):
-        possible = q // 2
-        found: set[int] = set()
-        for orbit in _iter_orbits(images, q):
-            found.add(_half_turns(orbit))
-            if len(found) == possible:
-                break
-        pairs.update(OrpPair(p, q) for p in found)
-    return frozenset(pairs)
-
-
-CANONICAL_2_TO_6 = [p for n in range(2, 7) for p in enumerate_patterns(n)]
+    return frozenset(
+        OrpPair(_half_turns(orbit), q)
+        for q in range(2, cap + 1)
+        for orbit in orbit_stream(images, q, None)
+    )
 
 
 class TestRefinedCrossings:
@@ -379,7 +367,9 @@ def orbit_stream(images: tuple[int, ...], q: int, target: int | None) -> list:
     vertices >= s in lexicographic order; a walk is kept when it is the least
     of its rotations and makes the goal's number of falling-to-rising
     crossings, realized through `_compose` and `_realize`, and its orbit
-    ranked when it has q distinct points.
+    ranked when it has q distinct points.  Without a target it walks the
+    basic space, which never crosses: every orbit of period q, the oracle
+    of the union of the targeted searches.
     """
     space = _covering_space(images, target is not None)
     goal = target or 0
@@ -418,14 +408,20 @@ def orbit_stream(images: tuple[int, ...], q: int, target: int | None) -> list:
 class TestOrbitStream:
     """The search's stream itself, order and repeats included, against brute
     force: the closing rows and the DFS may prune, never add, drop or
-    reorder an orbit."""
+    reorder an orbit.  Over the targets 1..q // 2 the streams hold every
+    orbit of the basic space."""
 
     @pytest.mark.parametrize("pattern", CANONICAL_2_TO_6, ids=str)
     def test_stream_is_the_brute_force_stream(self, pattern):
         for q in range(1, 8):
-            for target in [None, *range(q // 2 + 1)]:
+            union = set()
+            for target in range(q // 2 + 1):
                 got = list(_iter_orbits(pattern.images, q, target))
                 assert got == orbit_stream(pattern.images, q, target), (q, target)
+                union.update(got)
+            # period 1 is the fixed point, which no query searches for
+            if q > 1:
+                assert union == set(orbit_stream(pattern.images, q, None)), q
 
 
 class TestForces:
@@ -449,6 +445,17 @@ class TestForces:
     def test_respects_canonical_classes(self):
         assert forces(Pattern((3, 1, 2)), TWO)
         assert forces(THREE, flip(stefan(5)))
+
+    def test_is_membership_in_the_forced_set(self):
+        # forces walks b's own half-turn count only; forced_patterns chains
+        # every target of b's period
+        answers = []
+        for a in CANONICAL_2_TO_6:
+            forced = set().union(*(forced_patterns(a, q) for q in range(1, 7)))
+            for b in [Pattern((1,)), *CANONICAL_2_TO_6]:
+                answers.append(forces(a, b))
+                assert answers[-1] == (b in forced), (str(a), str(b))
+        assert (len(answers), sum(answers)) == (6806, 1580)
 
     @given(small_patterns(6))
     @settings(max_examples=40, deadline=None)

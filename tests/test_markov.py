@@ -47,13 +47,6 @@ class TestPLinearMap:
         with pytest.raises(ValueError):
             f(5)
 
-    def test_pieces(self):
-        f = p_linear(Pattern((2, 3, 1)))
-        assert f.piece(1) == (1, 1)
-        assert f.piece(2) == (-2, 7)
-        with pytest.raises(ValueError):
-            f.piece(3)
-
     def test_fixed_points(self):
         f = p_linear(Pattern((2, 3, 1)))
         assert f.fixed_points() == [Fraction(7, 3)]
@@ -185,15 +178,18 @@ def fraction_space(images, refined):
     splits = {int(a): a for a in points}
     bounds, labels, pieces = [], [], []
     for i in range(1, len(images)):
+        # the piece through (i, f(i)) and (i + 1, f(i + 1))
+        m = f(i + 1) - f(i)
+        piece = (m, f(i) - m * i)
         if i in splits:
             a = splits[i]
             bounds += [(Fraction(i), a), (a, Fraction(i + 1))]
             labels += ["Il", "Ir"] if len(points) == 1 else [f"J{i}l", f"J{i}r"]
-            pieces += [f.piece(i)] * 2
+            pieces += [piece] * 2
         else:
             bounds.append((i, i + 1))
             labels.append(f"J{i}")
-            pieces.append(f.piece(i))
+            pieces.append(piece)
     succ = []
     for (lo, hi), (m, c) in zip(bounds, pieces):
         img_lo, img_hi = sorted((m * lo + c, m * hi + c))
@@ -437,13 +433,13 @@ class TestSpaceCache:
         monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
         _covering_space.cache_clear()
 
-    def scanned_spaces(self, monkeypatch, images, refined):
+    def scanned_spaces(self, monkeypatch, images):
         """The spaces one nd/nbs scan of the pattern at cap 10 looks up, each
-        checked to be of the given kind and to be one cached space."""
+        checked to be refined and to be one cached space."""
         spaces, held = [], []
 
         def recording(images, kind):
-            assert kind is refined
+            assert kind is True
             space = _covering_space(images, kind)
             spaces.append(space)
             held.append(list(space.closing))
@@ -461,14 +457,15 @@ class TestSpaceCache:
         assert held[-1][0] is final[0] and len(final[0]) == 11
         return spaces
 
-    def test_an_nd_nbs_scan_builds_one_basic_space(self, monkeypatch):
-        # a divergent pattern: one scan per period 3..10
-        assert len(self.scanned_spaces(monkeypatch, (3, 5, 2, 6, 4, 1), False)) == 8
+    def test_a_divergent_nd_nbs_scan_builds_one_refined_space(self, monkeypatch):
+        # one scan per period 3..10: at each, target 1 finds an orbit without
+        # a block structure, which settles the period
+        assert len(self.scanned_spaces(monkeypatch, (3, 5, 2, 6, 4, 1))) == 8
 
     def test_a_convergent_nd_nbs_scan_builds_one_refined_space(self, monkeypatch):
         # one scan per period q in 3..10 and target 1 <= p < q / 2, less the
         # three at (7, 3), (9, 4) and (10, 4) after an nbs orbit at a lower p
-        assert len(self.scanned_spaces(monkeypatch, (2, 4, 1, 3), True)) == 17
+        assert len(self.scanned_spaces(monkeypatch, (2, 4, 1, 3))) == 17
 
     def test_twist_insertion_and_spectrum_build_one_refined_space(self):
         three = Pattern((2, 3, 1))

@@ -168,3 +168,24 @@ class TestOrpOrder:
                 else:
                     assert orp_precedes(a, b) != orp_precedes(b, a), (a, b)
 
+
+class TestIntegerPeriods:
+    """Periods and caps are integers: a float, or a bool taken for 1, gives
+    ValueError, never an answer."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: eta(4.0),
+            lambda: n_r(4.0, 8),
+            lambda: n_r(4, 8.0),
+            lambda: star_precedes(4.0, 6),
+            lambda: star_precedes(4, True),
+            lambda: sharkovsky_precedes(3.0, 5),
+            lambda: sharkovsky_precedes(3, Fraction(5)),
+        ],
+        ids=["eta", "n_r", "n_r-cap", "star", "star-bool", "sharkovsky", "sharkovsky-fraction"],
+    )
+    def test_rejects_non_integers(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()

@@ -37,7 +37,7 @@ from overrot import (
     verify_stefan_only,
     verify_trichotomy,
 )
-from overrot.forcing import _iter_orbits
+from overrot.forcing import _iter_forced_patterns, _iter_orbits
 from overrot.orders import star_precedes
 from overrot.patterns import _block_factors, _flip_images, _has_division
 
@@ -452,14 +452,15 @@ def run_fresh(script: str) -> str:
 
 
 def plain_nd_nbs(images, cap):
-    """The nd/nbs scan without the table: every period 3..cap, stopping each
-    at its first no-block-structure orbit."""
+    """The nd/nbs scan without the table: the forced patterns of every period
+    3..cap, as `forced_patterns` finds them, stopping each period at its
+    first no-block-structure pattern."""
     nd = nbs = 0
     for q in range(3, cap + 1):
-        for orbit in _iter_orbits(images, q):
-            if not nd >> q & 1 and not _has_division(orbit):
+        for forced in _iter_forced_patterns(images, q):
+            if not nd >> q & 1 and not _has_division(forced.images):
                 nd |= 1 << q
-            if next(_block_factors(orbit), None) is None:
+            if next(_block_factors(forced.images), None) is None:
                 nd |= 1 << q
                 nbs |= 1 << q
                 break
@@ -499,7 +500,7 @@ class TestClosureAgainstPlainScan:
     def test_the_closure_skips_scans(self, monkeypatch):
         scans = []
 
-        def counting(images, q, target=None):
+        def counting(images, q, target):
             scans.append((q, target))
             return _iter_orbits(images, q, target=target)
 
@@ -518,7 +519,7 @@ class TestClosureAgainstPlainScan:
         verify_forcing_order(7, CLOSURE_CAP)
         scans = []
 
-        def counting(images, q, target=None):
+        def counting(images, q, target):
             scans.append((q, target))
             return _iter_orbits(images, q, target=target)
 
@@ -532,10 +533,11 @@ class TestClosureAgainstPlainScan:
 
 
 class TestDivisionStratum:
-    """Why a convergent pattern's nd/nbs scan walks only the targets
-    p < q / 2: its orbits of over-rotation pair (p, q) have a division exactly
-    when 2p = q (Blokh & Misiurewicz, ETDS 17, 1997), so the orbits at
-    p = q / 2 set no bit and those below set the nd bit untested."""
+    """Why the nd/nbs scan sets the nd bit untested at the targets p < q / 2,
+    and why a convergent pattern's walks only those: an orbit with a division
+    has 2p = q, for every pattern, and a convergent pattern's orbits of
+    over-rotation pair (p, q) have a division exactly when 2p = q (Blokh &
+    Misiurewicz, ETDS 17, 1997), so its orbits at p = q / 2 set no bit."""
 
     def test_every_half_turn_orbit_has_a_division(self):
         orbits = 0
@@ -554,15 +556,16 @@ class TestDivisionStratum:
         assert divergent.images in _iter_orbits(divergent.images, 6, target=3)
 
     def test_no_orbit_below_half_a_turn_has_one(self):
+        # divergent patterns included: this half needs no convergence
         orbits = 0
-        for n in range(3, 7):
-            for p in filter(is_convergent, enumerate_patterns(n)):
+        for n in range(3, 8):
+            for p in enumerate_patterns(n):
                 for q in range(3, 9):
                     for target in range(1, (q + 1) // 2):
                         for orbit in _iter_orbits(p.images, q, target=target):
                             assert not _has_division(orbit), (str(p), q, orbit)
                             orbits += 1
-        assert orbits == 6773
+        assert orbits == 589491
 
 
 class TestNoDivisionStream:
@@ -593,9 +596,9 @@ class TestNoDivisionStream:
 
     def test_divergent_patterns_test_each_orbit(self):
         patterns = [
-            p for n in range(3, 7) for p in enumerate_patterns(n) if not is_convergent(p)
+            p for n in range(3, 8) for p in enumerate_patterns(n) if not is_convergent(p)
         ]
-        assert self._stream_against_forced_sets(patterns, 6, False) == (36, 519)
+        assert self._stream_against_forced_sets(patterns, 6, False) == (249, 4584)
 
 
 class TestConvergentNdAgainstSpectra:
