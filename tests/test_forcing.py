@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import overrot.forcing
+import overrot.markov
 from overrot import (
     Degenerate,
     DegenerateRealizationError,
@@ -467,6 +469,53 @@ class TestForces:
     def test_transitive_through_period_two(self, p):
         # every pattern of period >= 2 forces the period-2 swap
         assert forces(p, TWO)
+
+
+DIVERGENT_SIX = Pattern((3, 5, 2, 6, 4, 1))
+
+SEARCHES = {
+    "forced_patterns": lambda: forced_patterns(DIVERGENT_SIX, 6),
+    "forces": lambda: [forces(DIVERGENT_SIX, b) for b in CANONICAL_2_TO_6],
+    "orp_spectrum": lambda: orp_spectrum(DIVERGENT_SIX, 8),
+    "is_twist_bounded": lambda: is_twist_bounded(THREE),
+    "insert_rotation": lambda: insert_rotation(THREE),
+}
+
+
+class TestOneSearchMode:
+    """Every search walks the refined space at a crossing target; the basic
+    space is looked up only to realize a loop given over it."""
+
+    def spaces_looked_up(self, monkeypatch, query) -> list:
+        kinds = []
+
+        def recording(images, refined):
+            kinds.append(refined)
+            return _covering_space(images, refined)
+
+        overrot.forcing._twist_cached.cache_clear()
+        monkeypatch.setattr(overrot.forcing, "_covering_space", recording)
+        monkeypatch.setattr(overrot.markov, "_covering_space", recording)
+        query()
+        return kinds
+
+    @pytest.mark.parametrize("query", SEARCHES.values(), ids=SEARCHES.keys())
+    def test_searches_look_up_only_refined_spaces(self, monkeypatch, query):
+        kinds = self.spaces_looked_up(monkeypatch, query)
+        assert kinds and all(kind is True for kind in kinds)
+
+    def test_realize_loop_looks_up_the_basic_space(self, monkeypatch):
+        query = lambda: realize_loop(TWO, (1, 1))
+        assert self.spaces_looked_up(monkeypatch, query) == [False]
+
+    def test_convergent_refined_spaces_have_no_closed_walk_of_length_one(self):
+        # the split interval of a convergent pattern falls, so its fixed
+        # point is answered without a search
+        convergent = [p for p in CANONICAL_2_TO_6 if is_convergent(p)]
+        assert len(convergent) == 46
+        for p in convergent:
+            assert list(_iter_orbits(p.images, 1, 0)) == [], str(p)
+            assert forced_patterns(p, 1) == frozenset({Pattern((1,))}), str(p)
 
 
 class TestSpectrum:
