@@ -10,7 +10,6 @@ forcing order.
 """
 
 from .forcing import (
-    Degenerate,
     NotTwist,
     Orbit,
     TwistUpTo,
@@ -21,14 +20,11 @@ from .forcing import (
     orp_spectrum,
     pattern_of_orbit,
     realize_loop,
-    twist_monotone_check,
 )
 from .markov import (
     DegenerateRealizationError,
     DivergentPatternError,
     LoopError,
-    MarkovGraph,
-    PLinearMap,
     fixed_point,
     fundamental_loop_pprime,
     markov_graph,
@@ -42,7 +38,6 @@ from .orders import (
     star_precedes,
 )
 from .patterns import (
-    BlockDecomposition,
     OrpPair,
     Pattern,
     PatternError,
@@ -77,17 +72,13 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition",
-    "Degenerate",
     "DegenerateRealizationError",
     "DivergentPatternError",
     "LoopError",
-    "MarkovGraph",
     "NdNbsReport",
     "NotTwist",
     "Orbit",
     "OrpPair",
-    "PLinearMap",
     "Pattern",
     "PatternError",
     "TwistUpTo",
@@ -125,7 +116,6 @@ __all__ = [
     "sharkovsky_precedes",
     "star_precedes",
     "stefan",
-    "twist_monotone_check",
     "verify_forcing_order",
     "verify_lemmas",
     "verify_refrem",

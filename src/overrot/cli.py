@@ -20,7 +20,7 @@ from .forcing import (
     is_twist_bounded,
     orp_spectrum,
 )
-from .markov import MarkovGraph, markov_graph
+from .markov import markov_graph
 from .orders import eta, orp_precedes, sharkovsky_precedes, star_precedes
 from .patterns import (
     OrpPair,
@@ -75,27 +75,15 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def emit_dot(graph: MarkovGraph) -> str:
-    """The covering graph in DOT form, vertices and edges in index order."""
-    lines = ["digraph covering {"]
-    for i in range(1, graph.num_vertices + 1):
-        lines.append(f"  J{i};")
-    for i in range(1, graph.num_vertices + 1):
-        for k in graph.successors(i):
-            lines.append(f"  J{i} -> J{k};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def _cmd_markov(args) -> int:
-    pattern = _pattern_arg(args.pattern, args.cycles)
-    graph = markov_graph(pattern)
+    graph = markov_graph(_pattern_arg(args.pattern, args.cycles))
+    # one edge list in index order; DOT form lists the vertices before it
+    edge = "  J{} -> J{};" if args.dot else "J{} J{}"
+    lines = [edge.format(i, k) for i, run in enumerate(graph.succ, 1) for k in run]
     if args.dot:
-        print(emit_dot(graph))
-    else:
-        for i in range(1, graph.num_vertices + 1):
-            for k in graph.successors(i):
-                print(f"J{i} J{k}")
+        vertices = [f"  J{i};" for i in range(1, graph.num_vertices + 1)]
+        lines = ["digraph covering {", *vertices, *lines, "}"]
+    print("\n".join(lines))
     return 0
 
 

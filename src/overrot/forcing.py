@@ -290,7 +290,7 @@ def orp_spectrum(pattern: Pattern, cap: int) -> frozenset[OrpPair]:
     )
 
 
-def twist_monotone_check(pattern: Pattern) -> bool:
+def _twist_monotone(pattern: Pattern) -> bool:
     """Necessary twist condition: on either side of the fixed point, points
     mapping to a common side keep their distance order from the fixed point."""
     a, _ = fixed_point(pattern)
@@ -337,7 +337,7 @@ def _twist_cached(images: tuple[int, ...], cap: int) -> NotTwist | TwistUpTo:
     pattern = Pattern(images)
     if not is_convergent(pattern):
         return NotTwist()
-    if not twist_monotone_check(pattern):
+    if not _twist_monotone(pattern):
         return NotTwist()
     rho = over_rotation_number(pattern)
     step = rho.denominator

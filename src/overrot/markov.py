@@ -10,7 +10,11 @@ This module owns the covering spaces and the compose-and-realize kernel:
 points, `_compose` validates a closed walk and composes its pieces, and
 `_realize` turns the compositions into an exact periodic orbit: integer
 numerators over one denominator, as slopes and offsets are integers, so
-`Fraction` appears only at the API boundary.  The public views read the
+`Fraction` appears only at the API boundary.  One integer rule places the
+fixed points: J_i holds one exactly when the map moves i and i+1 in
+opposite directions.  `_covering_space` splits there, so a split point is
+the only `Fraction` in a space, and `PLinearMap.fixed_points` solves only
+the pieces the rule names.  The public views read the
 same spaces: `markov_graph` the basic one, and `fundamental_loop_pprime`,
 which follows the germ of 1 around the pattern, the refined one.  The
 closed-walk search, which walks only refined spaces and keeps its closing
@@ -54,7 +58,9 @@ class PLinearMap:
         )
 
     def __call__(self, x):
-        """Exact image of a number in [1, n]."""
+        """Exact image of an int or a `Fraction` in [1, n]."""
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise ValueError(f"points are ints or Fractions, got {x!r}")
         if self.n == 1:
             if x != 1:
                 raise ValueError(f"point {x} outside [1, 1]")
@@ -66,18 +72,20 @@ class PLinearMap:
         return slope * x + offset
 
     def fixed_points(self) -> list[Fraction]:
-        """All fixed points, ascending."""
+        """All fixed points, ascending.
+
+        J_i holds one exactly when the map moves i and i+1 in opposite
+        directions, the rule `_covering_space` splits by; it is the root of
+        the piece on J_i, interior as no point of a cycle is fixed.
+        """
         if self.n == 1:
             return [Fraction(1)]
-        out = []
-        for i in range(1, self.n):
-            slope, offset = self._slopes[i - 1], self._offsets[i - 1]
-            if slope == 1:
-                continue
-            x = Fraction(offset, 1 - slope)
-            if i <= x <= i + 1 and (not out or out[-1] != x):
-                out.append(x)
-        return out
+        images = self.pattern.images
+        return [
+            Fraction(self._offsets[i - 1], 1 - self._slopes[i - 1])
+            for i in range(1, self.n)
+            if (images[i - 1] > i) != (images[i] > i + 1)
+        ]
 
     def __repr__(self) -> str:
         return f"PLinearMap({self.pattern!r})"
@@ -94,10 +102,6 @@ class MarkovGraph(NamedTuple):
 
     num_vertices: int
     succ: tuple[tuple[int, ...], ...]
-
-    def has_edge(self, i: int, k: int) -> bool:
-        self.successors(k)  # raises unless k is a vertex
-        return k in self.successors(i)
 
     def successors(self, i: int) -> tuple[int, ...]:
         if type(i) is not int or not 1 <= i <= self.num_vertices:
@@ -198,7 +202,7 @@ def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
         if split[i - 1]:
             # v counts the vertices left of the fixed point a, which f fixes
             a, v = Fraction(y - m * i, 1 - m), at[i - 1] + 1
-            bounds += [(Fraction(i), a), (a, Fraction(i + 1))]
+            bounds += [(i, a), (a, i + 1)]
             labels += ["Il", "Ir"] if sum(split) == 1 else [f"J{i}l", f"J{i}r"]
             right += [not rising[i - 1], not rising[i]]
             runs += [(at[y - 1], v), (v, at[z - 1])]

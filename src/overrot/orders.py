@@ -69,7 +69,10 @@ def eta(m: int) -> OrpPair:
 
 
 def _check_pair(pair) -> OrpPair:
-    p, q = pair
+    try:
+        p, q = pair
+    except (TypeError, ValueError):
+        raise ValueError(f"over-rotation pairs need two entries (p, q), got {pair!r}") from None
     if type(p) is not int or type(q) is not int:
         raise ValueError(f"over-rotation pairs need integer entries, got ({p!r}, {q!r})")
     if p < 1 or q < 2 or 2 * p > q:

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import overrot.forcing
 import overrot.markov
 from overrot import (
-    Degenerate,
     DegenerateRealizationError,
     DivergentPatternError,
     LoopError,
@@ -37,9 +36,8 @@ from overrot import (
     pattern_of_orbit,
     realize_loop,
     stefan,
-    twist_monotone_check,
 )
-from overrot.forcing import _iter_orbits
+from overrot.forcing import Degenerate, _iter_orbits, _twist_monotone
 from overrot.markov import _compose, _covering_space, _realize
 from overrot.patterns import _flip_images, _half_turns
 from overrot.verify import enumerate_patterns
@@ -562,13 +560,13 @@ class TestSpectrum:
 
 class TestTwist:
     def test_monotone_check(self):
-        assert twist_monotone_check(THREE)
-        assert twist_monotone_check(stefan(5))
-        assert not twist_monotone_check(Pattern((2, 4, 5, 3, 1)))
+        assert _twist_monotone(THREE)
+        assert _twist_monotone(stefan(5))
+        assert not _twist_monotone(Pattern((2, 4, 5, 3, 1)))
 
     def test_monotone_check_rejects_divergent(self):
         with pytest.raises(DivergentPatternError):
-            twist_monotone_check(Pattern((3, 1, 4, 2)))
+            _twist_monotone(Pattern((3, 1, 4, 2)))
 
     def test_verdicts(self):
         assert is_twist_bounded(THREE, 9) == TwistUpTo(9)
@@ -612,12 +610,12 @@ class TestTwist:
             for canon in enumerate_patterns(n):
                 for p in (canon, flip(canon)):
                     if is_convergent(p):
-                        assert twist_monotone_check(p) == monotone_by_fractions(p), str(p)
+                        assert _twist_monotone(p) == monotone_by_fractions(p), str(p)
 
 
 def monotone_by_fractions(pattern: Pattern) -> bool:
     """The monotonicity condition compared on `Fraction` distances to the
-    fixed point; the oracle of `twist_monotone_check`."""
+    fixed point; the oracle of `_twist_monotone`."""
     a, _ = fixed_point(pattern)
     n = pattern.period
     for u in range(1, n + 1):

@@ -47,9 +47,19 @@ class TestPLinearMap:
         with pytest.raises(ValueError):
             f(5)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "2", None], ids=repr)
+    def test_rejects_points_that_are_not_ints_or_fractions(self, bad):
+        # a float would leave exact arithmetic, and a bool is not taken for 1
+        for images in ((2, 3, 1), (1,)):
+            with pytest.raises(ValueError, match="ints or Fractions"):
+                p_linear(Pattern(images))(bad)
+
     def test_fixed_points(self):
         f = p_linear(Pattern((2, 3, 1)))
         assert f.fixed_points() == [Fraction(7, 3)]
+        # divergent: one in each of J1, J2 and J3
+        f = p_linear(Pattern((3, 1, 4, 2)))
+        assert f.fixed_points() == [Fraction(5, 3), Fraction(5, 2), Fraction(10, 3)]
 
     def test_fixed_point_of_degenerate_period_one(self):
         f = p_linear(Pattern((1,)))
@@ -67,7 +77,7 @@ class TestMarkovGraph:
     def test_period_two(self):
         g = markov_graph(Pattern((2, 1)))
         assert g.num_vertices == 1
-        assert g.has_edge(1, 1)
+        assert 1 in g.successors(1)
 
     def test_rejects_period_one(self):
         with pytest.raises(PatternError):
@@ -81,7 +91,7 @@ class TestMarkovGraph:
             h = markov_graph(flip(p))
             for i in range(1, n):
                 for k in range(1, n):
-                    assert g.has_edge(i, k) == h.has_edge(n - i, n - k)
+                    assert (k in g.successors(i)) == (n - k in h.successors(n - i))
 
     @pytest.mark.parametrize("period", range(2, 9))
     def test_edges_are_the_intervals_each_image_spans(self, period):
@@ -95,8 +105,6 @@ class TestMarkovGraph:
                     lo, hi = sorted(p.images[i - 1 : i + 1])
                     spanned = tuple(k for k in range(1, period) if lo <= k and k + 1 <= hi)
                     assert g.successors(i) == spanned, (str(p), i)
-                    for k in range(1, period):
-                        assert g.has_edge(i, k) == (k in spanned), (str(p), i, k)
 
     @pytest.mark.parametrize("images", [(2, 3, 1), (3, 5, 4, 2, 1)])
     def test_rejects_vertices_outside_one_to_n(self, images):
@@ -105,10 +113,6 @@ class TestMarkovGraph:
         for bad in (0, -1, n + 1, True, 1.0, "1", None):
             with pytest.raises(ValueError, match="vertices run"):
                 g.successors(bad)
-            with pytest.raises(ValueError, match="vertices run"):
-                g.has_edge(bad, 1)
-            with pytest.raises(ValueError, match="vertices run"):
-                g.has_edge(1, bad)
         assert [g.successors(i) for i in range(1, n + 1)] == list(g.succ)
 
     def test_every_vertex_has_a_successor(self):
@@ -168,22 +172,49 @@ class TestRefinedSpace:
         assert space.right == (False, True, True, False, False, True)
 
 
+def root_scan(images):
+    """The fixed points of a pattern's map, each piece solved for its root in
+    Fraction arithmetic and the roots inside their interval kept: the oracle
+    of the sign rule, for periods >= 2."""
+    out = []
+    for i in range(1, len(images)):
+        m = images[i] - images[i - 1]
+        if m == 1:
+            continue
+        a = Fraction(images[i - 1] - m * i, 1 - m)
+        if i <= a <= i + 1 and (not out or out[-1] != a):
+            out.append(a)
+    return out
+
+
+class TestSignRule:
+    """`fixed_points` places one fixed point in each J_i whose ends the map
+    moves in opposite directions; it finds what the root scan finds."""
+
+    @pytest.mark.parametrize("period", range(2, 10))
+    def test_matches_the_root_scan(self, period):
+        for canon in enumerate_patterns(period):
+            for p in (canon, flip(canon)):
+                got = p_linear(p).fixed_points()
+                assert got == root_scan(p.images), str(p)
+                assert all(type(a) is Fraction for a in got), str(p)
+
+
 def fraction_space(images, refined):
     """The covering space built in Fraction arithmetic, the integer builder's
-    test oracle: the fixed points come from the map's pieces, and a vertex
+    test oracle: the fixed points come from the root scan, and a vertex
     covers every vertex inside the image of its ends.  Returns the fields of
     `_Space` but closing."""
-    f = p_linear(Pattern(images))
-    points = f.fixed_points() if refined else []
+    points = root_scan(images) if refined else []
     splits = {int(a): a for a in points}
     bounds, labels, pieces = [], [], []
     for i in range(1, len(images)):
-        # the piece through (i, f(i)) and (i + 1, f(i + 1))
-        m = f(i + 1) - f(i)
-        piece = (m, f(i) - m * i)
+        # the piece through (i, pi(i)) and (i + 1, pi(i + 1))
+        m = images[i] - images[i - 1]
+        piece = (m, images[i - 1] - m * i)
         if i in splits:
             a = splits[i]
-            bounds += [(Fraction(i), a), (a, Fraction(i + 1))]
+            bounds += [(i, a), (a, i + 1)]
             labels += ["Il", "Ir"] if len(points) == 1 else [f"J{i}l", f"J{i}r"]
             pieces += [piece] * 2
         else:

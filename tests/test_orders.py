@@ -157,6 +157,13 @@ class TestOrpOrder:
             with pytest.raises(ValueError, match="integer entries"):
                 orp_precedes((1, 3), bad)
 
+    @pytest.mark.parametrize("bad", [None, (1, 3, 4), (1,), 3])
+    def test_rejects_arguments_that_are_not_pairs(self, bad):
+        with pytest.raises(ValueError, match="two entries"):
+            orp_precedes(bad, (1, 3))
+        with pytest.raises(ValueError, match="two entries"):
+            orp_precedes((1, 2), bad)
+
     def test_total_on_small_pairs(self):
         pairs = [
             OrpPair(p, q) for q in range(2, 12) for p in range(1, q // 2 + 1)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from overrot import (
-    BlockDecomposition,
     OrpPair,
     Pattern,
     PatternError,
@@ -29,6 +28,7 @@ from overrot import (
     parse_pattern,
     stefan,
 )
+from overrot.patterns import BlockDecomposition
 
 
 def cyclic_patterns(max_period: int):
