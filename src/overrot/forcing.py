@@ -38,6 +38,7 @@ from .markov import (
     PLinearMap,
     _compose,
     _covering_space,
+    _labels,
     _minimal_period,
     _realize,
     fixed_point,
@@ -143,15 +144,21 @@ def _iter_orbits(images: tuple[int, ...], q: int, target: int) -> Iterator[tuple
     for s in range(count):
         rows = space.closing[s]
         if rows is None:
-            rows = space.closing[s] = [[int(v == s) for v in range(count)]]
-        while len(rows) <= q:
+            rows = space.closing[s] = [[0] * s + [1] + [0] * (count - s - 1)]
+        for k in range(len(rows), q + 1):
             row = last = rows[-1]
             # once a row equals the one before it, every later row does too
-            if len(rows) == 1 or last != rows[-2]:
+            if k == 1 or last != rows[-2]:
                 row = [0] * count
                 for v in range(s, count):
-                    for u in succ[v]:
-                        row[v] |= last[u] << (right[v] and not right[u])
+                    bits = 0
+                    if right[v]:  # a step to a rising u crosses once
+                        for u in succ[v]:
+                            bits |= last[u] << (not right[u])
+                    else:
+                        for u in succ[v]:
+                            bits |= last[u]
+                    row[v] = bits
             rows.append(row)
         if not rows[q][s] >> target & 1:
             continue
@@ -205,6 +212,8 @@ def realize_loop(pattern: Pattern, loop) -> Orbit | Degenerate:
     point, with its exact minimal period, or Degenerate when the point lies
     on the base cycle and merely retraces part of it.
     """
+    if pattern.period < 2:
+        raise PatternError("covering graphs need period at least 2")
     return _realize_orbit(pattern, _covering_space(pattern.images, False), loop)
 
 
@@ -226,7 +235,7 @@ def _realize_orbit(pattern: Pattern, space, loop) -> Orbit | Degenerate:
     return Orbit(
         points=points,
         period=period,
-        itinerary=tuple(space.labels[v] for v in ids),
+        itinerary=tuple(map(_labels(space).__getitem__, ids)),
         carrier=p_linear(pattern),
     )
 

@@ -7,25 +7,25 @@ walks in it are the raw material for orbit realization.
 
 This module owns the covering spaces and the compose-and-realize kernel:
 `_covering_space` builds the basic space and the space refined at the fixed
-points, `_compose` validates a closed walk and composes its pieces, and
-`_realize` turns the compositions into an exact periodic orbit: integer
-numerators over one denominator, as slopes and offsets are integers, so
-`Fraction` appears only at the API boundary.  One integer rule places the
-fixed points: J_i holds one exactly when the map moves i and i+1 in
-opposite directions.  `_covering_space` splits there, so a split point is
-the only `Fraction` in a space, and `PLinearMap.fixed_points` solves only
-the pieces the rule names.  The public views read the
-same spaces: `markov_graph` the basic one, and `fundamental_loop_pprime`,
-which follows the germ of 1 around the pattern, the refined one.  The
-closed-walk search, which walks only refined spaces and keeps its closing
-rows in them, and the forcing queries built on the kernel live in `forcing`.
+points as plain lists, each vertex's successors a `range`, with no labels
+(`_labels` derives them for loops and itineraries); `_compose` validates a
+closed walk and composes its pieces, and `_realize` turns the compositions
+into an exact periodic orbit: integer numerators over one denominator, as
+slopes and offsets are integers, so `Fraction` appears only at the API
+boundary.  One integer rule places the fixed points: J_i holds one exactly
+when the map moves i and i+1 in opposite directions, and a split point is
+the only `Fraction` in a space; `PLinearMap.fixed_points` solves only the
+pieces the rule names.  The public views read the same spaces:
+`markov_graph` the basic one, and `fundamental_loop_pprime`, which follows
+the germ of 1 around the pattern, the refined one.  The closed-walk search,
+which walks only refined spaces and keeps its closing rows in them, and the
+forcing queries built on the kernel live in `forcing`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 from .patterns import Pattern, PatternError, is_convergent
@@ -138,15 +138,14 @@ class _Space(NamedTuple):
     """An interval family exactly covered by the affine pieces of one map.
 
     Vertex v is the interval [lows[v], highs[v]] carrying the piece
-    x -> slopes[v] * x + offsets[v]; succ[v] lists, ascending, the vertices
-    its image covers.  right[v] tells whether the map is falling on v, that
-    is, moves every point of v down; for a convergent pattern these are
-    exactly the vertices right of its fixed point.  In the basic space, which
-    is not split at the fixed points and which the walk search never walks
-    (only `markov_graph` and `realize_loop` read it), it is False everywhere.
+    x -> slopes[v] * x + offsets[v]; succ[v] is the range of the vertices
+    its image covers.  The fields are lists.  The last two are the walk
+    search's, None in the basic space, which only `markov_graph` and
+    `realize_loop` read.  right[v] tells whether the map is falling on v,
+    that is, moves every point of v down; for a convergent pattern these are
+    exactly the vertices right of its fixed point.
 
-    closing[s] is None until the walk search first starts at vertex s of a
-    refined space, then
+    closing[s] is None until the walk search first starts at vertex s, then
     the list of its closing rows built so far: row k maps each vertex v to a
     bitmask with bit c set when some walk of k edges leads from v back to s
     through vertices >= s with exactly c falling-to-rising crossings.  Row 0
@@ -156,14 +155,13 @@ class _Space(NamedTuple):
     walks from s on the vertices >= s: each is counted from its least vertex.
     """
 
-    lows: tuple
-    highs: tuple
-    slopes: tuple
-    offsets: tuple
-    succ: tuple
-    labels: tuple[str, ...]
-    right: tuple[bool, ...]
-    closing: list
+    lows: list
+    highs: list
+    slopes: list
+    offsets: list
+    succ: list
+    right: list | None
+    closing: list | None
 
 
 # The sweeps and the twist queries look a space up again only right after
@@ -180,49 +178,57 @@ def _covering_space(images: tuple[int, ...], refined: bool) -> _Space:
     [i, a] and [a, i+1], both carrying the piece of J_i.  No fixed point is
     an integer, and a basic interval holds at most one, so the map's
     displacement has one sign on each refined vertex: right[v] marks the
-    falling ones.  A convergent pattern has one split, labelled Il and Ir;
-    a divergent one labels the halves of J_i as Jil and Jir.
+    falling ones.
 
-    The space is built on integers.  J_i holds a fixed point exactly when
-    the map moves i and i+1 in opposite directions, and as f(a) = a every
-    vertex maps onto the interval between two points that are integers or
-    fixed points.  The vertices between two such points form a run of ids,
-    so each succ[v] is a range found by counting the vertices left of each
-    point, and a split point a is the only `Fraction`.
+    The space is built on integers, in one pass over the intervals.  J_i
+    holds a fixed point exactly when the map moves i and i+1 in opposite
+    directions, and as f(a) = a every vertex maps onto the interval between
+    two points that are integers or fixed points.  The vertices between two
+    such points form a run of ids, so each succ[v] is a range found by
+    counting the vertices left of each point, and a split point a is the
+    only `Fraction`.
     """
     n = len(images)
     rising = [images[x - 1] > x for x in range(1, n + 1)]
-    split = [refined and up != rise for up, rise in zip(rising, rising[1:])]
     # at[x - 1] counts the vertices left of the integer point x
-    at = [x + k for x, k in enumerate(accumulate(split, initial=0))]
-    bounds, labels, right, runs, pieces = [], [], [], [], []
+    at = [0] * n
+    for x in range(1, n):
+        at[x] = at[x - 1] + 1 + (refined and rising[x - 1] != rising[x])
+    lows, slopes, offsets, succ, right = [], [], [], [], []
     for i in range(1, n):
         y, z = images[i - 1], images[i]
-        m = z - y
-        if split[i - 1]:
-            # v counts the vertices left of the fixed point a, which f fixes
-            a, v = Fraction(y - m * i, 1 - m), at[i - 1] + 1
-            bounds += [(i, a), (a, i + 1)]
-            labels += ["Il", "Ir"] if sum(split) == 1 else [f"J{i}l", f"J{i}r"]
-            right += [not rising[i - 1], not rising[i]]
-            runs += [(at[y - 1], v), (v, at[z - 1])]
-            pieces += [(m, y - m * i)] * 2
+        m, up, k = z - y, rising[i - 1], at[i] - at[i - 1]
+        c = y - m * i
+        slopes += [m] * k
+        offsets += [c] * k
+        if k == 1:
+            lows.append(i)
+            succ.append(range(at[y - 1], at[z - 1]) if m > 0 else range(at[z - 1], at[y - 1]))
+            right.append(not up)
         else:
-            bounds.append((i, i + 1))
-            labels.append(f"J{i}")
-            right.append(refined and not rising[i - 1])
-            runs.append((at[y - 1], at[z - 1]))
-            pieces.append((m, y - m * i))
-    return _Space(
-        lows=tuple(lo for lo, _ in bounds),
-        highs=tuple(hi for _, hi in bounds),
-        slopes=tuple(m for m, _ in pieces),
-        offsets=tuple(c for _, c in pieces),
-        succ=tuple(tuple(range(min(run), max(run))) for run in runs),
-        labels=tuple(labels),
-        right=tuple(right),
-        closing=[None] * len(bounds),
-    )
+            # v counts the vertices left of the fixed point; each half maps
+            # onto the span from it to the image of the half's integer end,
+            # which lies above it when that end moves up
+            v = at[i - 1] + 1
+            lows += (i, Fraction(c, 1 - m))
+            if up:
+                succ += (range(v, at[y - 1]), range(at[z - 1], v))
+            else:
+                succ += (range(at[y - 1], v), range(v, at[z - 1]))
+            right += (not up, up)
+    search = (right, [None] * len(lows)) if refined else (None, None)
+    return _Space(lows, lows[1:] + [n], slopes, offsets, succ, *search)
+
+
+def _labels(space: _Space) -> list[str]:
+    """Vertex labels: J_i for a basic interval; the halves of a split J_i are
+    Jil and Jir, or Il and Ir in a space with one split (a convergent one)."""
+    splits = sum(type(lo) is not int for lo in space.lows)
+    out = []
+    for lo, hi in zip(space.lows, space.highs):
+        side = "l" if type(hi) is not int else "r" if type(lo) is not int else ""
+        out.append(f"I{side}" if side and splits == 1 else f"J{int(lo)}{side}")
+    return out
 
 
 def _compose(space: _Space, loop) -> tuple[list[int], list[tuple]]:
@@ -235,13 +241,14 @@ def _compose(space: _Space, loop) -> tuple[list[int], list[tuple]]:
     """
     if not loop:
         raise LoopError("empty loop")
-    index = {label: v for v, label in enumerate(space.labels)}
+    labels = _labels(space)
+    index = {label: v for v, label in enumerate(labels)}
     ids = []
     for item in loop:
         label = f"J{item}" if isinstance(item, int) else str(item)
         if label not in index:
             raise LoopError(
-                f"unknown interval {item!r}; intervals are {', '.join(space.labels)}"
+                f"unknown interval {item!r}; intervals are {', '.join(labels)}"
             )
         ids.append(index[label])
     prefixes = [(1, 0)]
@@ -249,7 +256,7 @@ def _compose(space: _Space, loop) -> tuple[list[int], list[tuple]]:
         u = ids[(t + 1) % len(ids)]
         if u not in space.succ[v]:
             raise LoopError(
-                f"no edge {space.labels[v]} -> {space.labels[u]} in the covering graph"
+                f"no edge {labels[v]} -> {labels[u]} in the covering graph"
             )
         alpha, beta = prefixes[-1]
         m = space.slopes[v]
@@ -312,10 +319,11 @@ def fundamental_loop_pprime(pattern: Pattern) -> tuple[str, ...]:
     """
     fixed_point(pattern)  # raises unless convergent, of period >= 2
     space = _covering_space(pattern.images, True)
+    labels = _labels(space)
     loop, x, right = [], 1, True
     for _ in range(pattern.period):
         v = space.lows.index(x) if right else space.highs.index(x)
-        loop.append(space.labels[v])
+        loop.append(labels[v])
         right ^= space.slopes[v] < 0
         x = pattern.images[x - 1]
     return tuple(loop)

@@ -135,6 +135,8 @@ def format_pattern(pattern: Pattern) -> str:
 
 def parse_cycle(text: str) -> Pattern:
     """Parse cycle notation, e.g. "(1 4 6 2 3 5)"; parentheses optional."""
+    if text.count("(") > 1:
+        raise PatternError(f"cycle notation takes one cycle, got {text!r}")
     cleaned = text.strip()
     if cleaned.startswith("(") and cleaned.endswith(")"):
         cleaned = cleaned[1:-1]
@@ -199,15 +201,16 @@ def block_structures(pattern: Pattern) -> list[BlockDecomposition]:
 
 
 def _block_factors(images: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(block size, factor images) of each block structure of one-line
-    images, sizes ascending; the rule behind `block_structures`."""
+    """(block size, factor images) of each block structure of one-line images,
+    sizes ascending; a size is dropped at the first block mapped across two."""
     n = len(images)
     for size in range(2, n // 2 + 1):
         if n % size == 0:
-            blocks = [(v - 1) // size for v in images]
-            factor = blocks[::size]
-            if blocks == [b for b in factor for _ in range(size)]:
-                yield size, tuple(b + 1 for b in factor)
+            for x, v in enumerate(images):
+                if (v - 1) // size != (images[x - x % size] - 1) // size:
+                    break
+            else:
+                yield size, tuple([(v - 1) // size + 1 for v in images[::size]])
 
 
 def has_division(pattern: Pattern) -> bool:

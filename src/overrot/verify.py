@@ -165,27 +165,27 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
         raise ValueError(f"cap must be at least 3, got {cap}")
     rep = canonical(pattern)
     top, nd, nbs = _ND_NBS.get(rep.images, (2, 0, 0))
-    # only a scan reads it, so a row that covers the cap skips the test
-    convergent = top < cap and is_convergent(rep)
-    for q in sorted(range(top + 1, cap + 1), key=_star_rank):
-        # no block structure rules out division too (a division is a two-block
-        # decomposition once the period exceeds 2), so an nbs bit answers q
-        if nbs >> q & 1:
-            continue
-        for orbit in _no_division_orbits(rep.images, q, convergent):
-            no_bs = next(_block_factors(orbit), None) is None
-            if not no_bs and nd >> q & 1:
-                continue
-            # its pattern B is forced, and so is all B forces: OR in B's row,
-            # up to the periods that both rows cover
-            b_top, b_nd, b_nbs = _ND_NBS.get(min(orbit, _flip_images(orbit)), (2, 0, 0))
-            mask = (2 << min(b_top, cap)) - 1
-            nd |= 1 << q | b_nd & mask
-            nbs |= no_bs << q | b_nbs & mask
+    if top < cap:
+        convergent = is_convergent(rep)
+        for q in sorted(range(top + 1, cap + 1), key=_star_rank):
+            # an nbs bit answers q: no block structure rules out division
+            # too (a division is a two-block decomposition once q > 2)
             if nbs >> q & 1:
-                break
-    # the scan at q does not depend on the cap, so every cap shares the row
-    _ND_NBS[rep.images] = (max(top, cap), nd, nbs)
+                continue
+            for orbit in _no_division_orbits(rep.images, q, convergent):
+                no_bs = next(_block_factors(orbit), None) is None
+                if not no_bs and nd >> q & 1:
+                    continue
+                # its pattern B is forced, and so is all B forces: OR in B's
+                # row, up to the periods that both rows cover
+                b_top, b_nd, b_nbs = _ND_NBS.get(min(orbit, _flip_images(orbit)), (2, 0, 0))
+                mask = (2 << min(b_top, cap)) - 1
+                nd |= 1 << q | b_nd & mask
+                nbs |= no_bs << q | b_nbs & mask
+                if nbs >> q & 1:
+                    break
+        # the scan at q does not depend on the cap, so every cap shares the row
+        _ND_NBS[rep.images] = (cap, nd, nbs)
     return NdNbsReport(pattern=rep, cap=cap, nd=_periods(nd, cap), nbs=_periods(nbs, cap))
 
 

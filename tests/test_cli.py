@@ -44,6 +44,11 @@ class TestClassify:
         assert code == 2
         assert "error: expected whitespace-separated integers, got '(1'" in err
 
+    def test_several_cycles_are_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "classify", "(1 3)(2)", "--cycles")
+        assert (code, out) == (2, "")
+        assert err == "error: cycle notation takes one cycle, got '(1 3)(2)'\n"
+
 
 class TestStefan:
     def test_five(self, capsys):

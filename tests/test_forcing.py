@@ -38,7 +38,7 @@ from overrot import (
     stefan,
 )
 from overrot.forcing import Degenerate, _iter_orbits, _twist_monotone
-from overrot.markov import _compose, _covering_space, _realize
+from overrot.markov import _compose, _covering_space, _labels, _realize
 from overrot.patterns import _flip_images, _half_turns
 from overrot.verify import enumerate_patterns
 
@@ -127,6 +127,12 @@ class TestRealizeLoop:
     def test_rejects_empty(self):
         with pytest.raises(LoopError, match="empty"):
             realize_loop(THREE, ())
+
+    @pytest.mark.parametrize("loop", [(1,), ()])
+    def test_rejects_period_one_as_markov_graph_does(self, loop):
+        # the period-1 pattern has no basic interval, so no covering graph
+        with pytest.raises(PatternError, match="^covering graphs need period at least 2$"):
+            realize_loop(Pattern((1,)), loop)
 
     def test_orbit_points_all_map_within_the_orbit(self):
         orbit = realize_loop(THREE, (1, 2, 2, 2))
@@ -373,7 +379,9 @@ def orbit_stream(images: tuple[int, ...], q: int, target: int | None) -> list:
     """
     space = _covering_space(images, target is not None)
     goal = target or 0
-    succ, right = space.succ, space.right
+    # the basic space has no falling flags: it never crosses
+    succ, right = space.succ, space.right or [False] * len(space.succ)
+    labels = _labels(space)
     out = []
 
     def extend(walk, s):
@@ -392,7 +400,7 @@ def orbit_stream(images: tuple[int, ...], q: int, target: int | None) -> list:
             steps = zip(walk, walk[1:] + walk[:1])
             if sum(right[v] and not right[u] for v, u in steps) != goal:
                 continue
-            _, prefixes = _compose(space, [space.labels[v] for v in walk])
+            _, prefixes = _compose(space, [labels[v] for v in walk])
             res = _realize(space, s, prefixes)
             if res is None or len(set(res[1])) != q:
                 continue

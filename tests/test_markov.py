@@ -25,7 +25,7 @@ from overrot import (
     stefan,
 )
 from overrot.forcing import _realize_orbit
-from overrot.markov import DegenerateRealizationError, _covering_space, _realize
+from overrot.markov import DegenerateRealizationError, _covering_space, _labels, _realize
 from overrot.verify import enumerate_patterns, nd_nbs
 
 
@@ -156,9 +156,11 @@ class TestRefinedSpace:
                 for lo, hi, right in zip(space.lows, space.highs, space.right):
                     x = (Fraction(lo) + Fraction(hi)) / 2
                     assert right == (f(x) < x), (str(p), lo, hi)
-                assert not any(_covering_space(p.images, False).right)
-                assert len(set(space.labels)) == len(space.labels)
-                split = [label for label in space.labels if not label[1:].isdigit()]
+                basic = _covering_space(p.images, False)
+                assert basic.right is None and basic.closing is None
+                labels = _labels(space)
+                assert len(set(labels)) == len(labels)
+                split = [label for label in labels if not label[1:].isdigit()]
                 if is_convergent(p):
                     assert split == ["Il", "Ir"], str(p)
                 else:
@@ -168,8 +170,8 @@ class TestRefinedSpace:
         # 3 1 4 2 has fixed points 5/3 in J1, 5/2 in J2 and 10/3 in J3; the
         # map falls through 5/3 and 10/3 and rises through 5/2
         space = _covering_space((3, 1, 4, 2), True)
-        assert space.labels == ("J1l", "J1r", "J2l", "J2r", "J3l", "J3r")
-        assert space.right == (False, True, True, False, False, True)
+        assert _labels(space) == ["J1l", "J1r", "J2l", "J2r", "J3l", "J3r"]
+        assert space.right == [False, True, True, False, False, True]
 
 
 def root_scan(images):
@@ -204,7 +206,8 @@ def fraction_space(images, refined):
     """The covering space built in Fraction arithmetic, the integer builder's
     test oracle: the fixed points come from the root scan, and a vertex
     covers every vertex inside the image of its ends.  Returns the fields of
-    `_Space` but closing."""
+    `_Space` but closing, as lists, each succ[v] as a tuple, and the labels
+    `_labels` derives."""
     points = root_scan(images) if refined else []
     splits = {int(a): a for a in points}
     bounds, labels, pieces = [], [], []
@@ -228,17 +231,19 @@ def fraction_space(images, refined):
             tuple(u for u, (ul, uh) in enumerate(bounds) if img_lo <= ul and uh <= img_hi)
         )
     return {
-        "lows": tuple(lo for lo, _ in bounds),
-        "highs": tuple(hi for _, hi in bounds),
-        "slopes": tuple(m for m, _ in pieces),
-        "offsets": tuple(c for _, c in pieces),
-        "succ": tuple(succ),
-        "labels": tuple(labels),
-        # the displacement m x + c - x at the midpoint, doubled
-        "right": tuple(
-            refined and (m - 1) * (lo + hi) + 2 * c < 0
-            for (lo, hi), (m, c) in zip(bounds, pieces)
-        ),
+        "lows": [lo for lo, _ in bounds],
+        "highs": [hi for _, hi in bounds],
+        "slopes": [m for m, _ in pieces],
+        "offsets": [c for _, c in pieces],
+        "succ": succ,
+        "labels": labels,
+        # the displacement m x + c - x at the midpoint, doubled; the basic
+        # space, which no search walks, has none
+        "right": [
+            (m - 1) * (lo + hi) + 2 * c < 0 for (lo, hi), (m, c) in zip(bounds, pieces)
+        ]
+        if refined
+        else None,
     }
 
 
@@ -253,13 +258,78 @@ class TestIntegerSpace:
             for images in (p.images, flip(p).images):
                 space = _covering_space(images, refined)
                 expected = fraction_space(images, refined)
-                got = {name: getattr(space, name) for name in expected}
-                assert got == expected, images
+                got = space._asdict()
+                got["succ"] = [tuple(run) for run in space.succ]
+                got["labels"] = _labels(space)
+                assert {name: got[name] for name in expected} == expected, images
                 for name in ("lows", "highs"):
                     types = [type(x) for x in getattr(space, name)]
                     assert types == [type(x) for x in expected[name]], (images, name)
-                assert all(type(x) is bool for x in space.right), images
-                assert space.closing == [None] * len(space.succ)
+                assert all(type(run) is range for run in space.succ), images
+                if refined:
+                    assert all(type(x) is bool for x in space.right), images
+                    assert space.closing == [None] * len(space.succ)
+                else:
+                    assert space.closing is None
+
+
+def tuple_space(images, refined):
+    """The covering space as the integer builder built it before its fields
+    became lists filled in one pass: every field a tuple built by a
+    generator pass, succ[v] a tuple, and the labels stored.  The one-pass
+    builder's differential oracle."""
+    n = len(images)
+    rising = [images[x - 1] > x for x in range(1, n + 1)]
+    split = [refined and up != rise for up, rise in zip(rising, rising[1:])]
+    at = [x + k for x, k in enumerate(itertools.accumulate(split, initial=0))]
+    bounds, labels, right, runs, pieces = [], [], [], [], []
+    for i in range(1, n):
+        y, z = images[i - 1], images[i]
+        m = z - y
+        if split[i - 1]:
+            a, v = Fraction(y - m * i, 1 - m), at[i - 1] + 1
+            bounds += [(i, a), (a, i + 1)]
+            labels += ["Il", "Ir"] if sum(split) == 1 else [f"J{i}l", f"J{i}r"]
+            right += [not rising[i - 1], not rising[i]]
+            runs += [(at[y - 1], v), (v, at[z - 1])]
+            pieces += [(m, y - m * i)] * 2
+        else:
+            bounds.append((i, i + 1))
+            labels.append(f"J{i}")
+            right.append(refined and not rising[i - 1])
+            runs.append((at[y - 1], at[z - 1]))
+            pieces.append((m, y - m * i))
+    return {
+        "lows": tuple(lo for lo, _ in bounds),
+        "highs": tuple(hi for _, hi in bounds),
+        "slopes": tuple(m for m, _ in pieces),
+        "offsets": tuple(c for _, c in pieces),
+        "succ": tuple(tuple(range(min(run), max(run))) for run in runs),
+        "labels": tuple(labels),
+        "right": tuple(right),
+    }
+
+
+class TestOnePassSpace:
+    """The one-pass builder against the tuple builder it replaced, on every
+    canonical pattern and its flip: the same values, and in the basic space
+    no walk-search fields where the old one had all-False flags."""
+
+    @pytest.mark.parametrize("refined", [False, True])
+    @pytest.mark.parametrize("period", range(2, 10))
+    def test_matches_the_tuple_builder(self, period, refined):
+        build = _covering_space.__wrapped__
+        for p in enumerate_patterns(period):
+            for images in (p.images, flip(p).images):
+                space, old = build(images, refined), tuple_space(images, refined)
+                for name in ("lows", "highs", "slopes", "offsets"):
+                    assert tuple(getattr(space, name)) == old[name], (images, name)
+                assert tuple(map(tuple, space.succ)) == old["succ"], images
+                assert tuple(_labels(space)) == old["labels"], images
+                if refined:
+                    assert tuple(space.right) == old["right"], images
+                else:
+                    assert space.right is None and not any(old["right"]), images
 
 
 def germ_image(p, point, side):

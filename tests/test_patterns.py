@@ -28,7 +28,8 @@ from overrot import (
     parse_pattern,
     stefan,
 )
-from overrot.patterns import BlockDecomposition
+from overrot.patterns import BlockDecomposition, _block_factors
+from overrot.verify import enumerate_patterns
 
 
 def cyclic_patterns(max_period: int):
@@ -129,6 +130,11 @@ class TestNotation:
     def test_parse_cycle_names_an_unbalanced_paren(self):
         with pytest.raises(PatternError, match=r"integers, got '\(1'$"):
             parse_cycle("(1 2")
+
+    @pytest.mark.parametrize("text", ["(1 3)(2)", "(1 3) (2)", "(1 2)(3 4)"])
+    def test_parse_cycle_takes_one_cycle(self, text):
+        with pytest.raises(PatternError, match=r"^cycle notation takes one cycle, got "):
+            parse_cycle(text)
 
     def test_parse_cycle_rejects_empty_parens(self):
         with pytest.raises(PatternError, match="empty input"):
@@ -231,6 +237,32 @@ class TestBlockStructure:
         if factor.period >= 2:
             twos = [dec for dec in block_structures(doubled) if dec.block_size == 2]
             assert twos and twos[0].factor == factor
+
+
+def list_block_factors(images):
+    """The block test in its list form, two full lists per divisor: every
+    point's block against its block's first point's, repeated; the
+    differential oracle of the early-exit test."""
+    n = len(images)
+    for size in range(2, n // 2 + 1):
+        if n % size == 0:
+            blocks = [(v - 1) // size for v in images]
+            factor = blocks[::size]
+            if blocks == [b for b in factor for _ in range(size)]:
+                yield size, tuple(b + 1 for b in factor)
+
+
+class TestEarlyExitBlocks:
+    @pytest.mark.parametrize("period", range(2, 10))
+    def test_matches_the_list_form(self, period):
+        found = 0
+        for p in enumerate_patterns(period):
+            for images in (p.images, flip(p).images):
+                got = list(_block_factors(images))
+                assert got == list(list_block_factors(images)), images
+                found += bool(got)
+        # periods with a proper divisor have patterns with block structures
+        assert found or period in (2, 3, 5, 7)
 
 
 class TestDisplacementShape:
