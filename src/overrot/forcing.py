@@ -219,7 +219,8 @@ def realize_loop(pattern: Pattern, loop) -> Orbit | Degenerate:
 
 def _realize_orbit(pattern: Pattern, space, loop) -> Orbit | Degenerate:
     """The body of `realize_loop`, for a closed walk of either space."""
-    ids, prefixes = _compose(space, loop)
+    labels = _labels(space)
+    ids, prefixes = _compose(space, labels, loop)
     res = _realize(space, ids[0], prefixes)
     if res is None:
         return Degenerate("the composed map is a translation without periodic points")
@@ -235,7 +236,7 @@ def _realize_orbit(pattern: Pattern, space, loop) -> Orbit | Degenerate:
     return Orbit(
         points=points,
         period=period,
-        itinerary=tuple(map(_labels(space).__getitem__, ids)),
+        itinerary=tuple(map(labels.__getitem__, ids)),
         carrier=p_linear(pattern),
     )
 

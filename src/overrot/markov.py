@@ -231,17 +231,17 @@ def _labels(space: _Space) -> list[str]:
     return out
 
 
-def _compose(space: _Space, loop) -> tuple[list[int], list[tuple]]:
+def _compose(space: _Space, labels: list[str], loop) -> tuple[list[int], list[tuple]]:
     """A closed walk as vertex ids, checked, with its prefix compositions.
 
-    The loop lists interval labels (or integers i for J_i); consecutive
-    intervals, cyclically, must be edges of the covering graph.  prefixes[t]
-    is the (slope, offset) of the composition of the first t pieces, for
+    The loop lists interval labels (or integers i for J_i), and `labels` are
+    the space's, as `_labels` derives them; consecutive intervals,
+    cyclically, must be edges of the covering graph.  prefixes[t] is the
+    (slope, offset) of the composition of the first t pieces, for
     t = 0..len(loop); the last one composes the whole walk.
     """
     if not loop:
         raise LoopError("empty loop")
-    labels = _labels(space)
     index = {label: v for v, label in enumerate(labels)}
     ids = []
     for item in loop:

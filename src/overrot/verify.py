@@ -6,10 +6,11 @@ passing report is a machine-checked certificate that the claims hold on the
 swept range; the sweeps are exact (orbits are ranked on integer numerators
 over one denominator, and `Fraction` appears only at the API boundary), so a
 violation is a genuine counterexample, not noise.  The nd/nbs scans go into
-one table per process that every cap and every suite reads, and the workers
-of a parallel sweep return their rows to it after each period.  A row is
-closed under forcing, so an nd/nbs certificate rests on the walk search plus
-transitivity of forcing (Baldwin 1987; Alseda, Llibre & Misiurewicz 2.6).
+one table per process that every cap and every suite reads.  The workers of
+a parallel sweep start from it, and after each period they return the rows
+they wrote.  A row is closed under forcing, so an nd/nbs certificate rests
+on the walk search plus transitivity of forcing (Baldwin 1987; Alseda,
+Llibre & Misiurewicz 2.6).
 """
 
 from __future__ import annotations
@@ -125,6 +126,10 @@ def _cycle_images(rest: tuple[int, ...], period: int) -> tuple[int, ...]:
 # forced.  Unbounded: it is the state the suites of one process share.
 _ND_NBS: dict[tuple[int, ...], tuple[int, int, int]] = {}
 
+# row value -> the one tuple that holds it, for every row the table gets: at
+# (9, 11), 23,065 rows take 9 values
+_ROWS: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+
 
 @lru_cache(maxsize=1024)
 def _periods(bits: int, cap: int) -> frozenset[int]:
@@ -163,8 +168,11 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
     Only orbits without a division can set a bit (`_no_division_orbits`)."""
     if _integer(cap, "cap") < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
-    rep = canonical(pattern)
-    top, nd, nbs = _ND_NBS.get(rep.images, (2, 0, 0))
+    # keys are canonical images, so a pattern found in the table is its own
+    # representative
+    row = _ND_NBS.get(pattern.images)
+    rep = pattern if row else canonical(pattern)
+    top, nd, nbs = row or _ND_NBS.get(rep.images, (2, 0, 0))
     if top < cap:
         convergent = is_convergent(rep)
         for q in sorted(range(top + 1, cap + 1), key=_star_rank):
@@ -185,7 +193,8 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
                 if nbs >> q & 1:
                     break
         # the scan at q does not depend on the cap, so every cap shares the row
-        _ND_NBS[rep.images] = (cap, nd, nbs)
+        row = (cap, nd, nbs)
+        _ND_NBS[rep.images] = _ROWS.setdefault(row, row)
     return NdNbsReport(pattern=rep, cap=cap, nd=_periods(nd, cap), nbs=_periods(nbs, cap))
 
 
@@ -453,29 +462,40 @@ SUITES = {
 
 
 def _merge_rows(rows: dict) -> None:
-    """Merge nd/nbs rows into this process's table, keeping the longer scan."""
+    """Merge nd/nbs rows into this process's table, keeping the longer scan
+    and holding each row value once."""
     for images, row in rows.items():
+        row = _ROWS.setdefault(row, row)
         _ND_NBS[images] = max(row, _ND_NBS.get(images, row))
 
 
 def _shard_worker(task) -> tuple[list[dict], dict]:
-    """One shard's violations, and the nd/nbs rows of its (canonical) patterns.
-    The rows the task carries are merged into the table first."""
+    """One shard's violations, and the nd/nbs rows its (canonical) patterns
+    wrote or extended.  The rows the task carries are merged into the table
+    first."""
     suite, period, offset, stride, params, known = task
     _merge_rows(known)
     checker = SUITES[suite].checker
     out, rows = [], {}
     for pattern in enumerate_patterns(period, offset=offset, stride=stride):
+        before = _ND_NBS.get(pattern.images)
         out.extend(checker(pattern, dict(params)))
-        if pattern.images in _ND_NBS:
-            rows[pattern.images] = _ND_NBS[pattern.images]
+        # a written row is a new object: rows are interned, and a row is
+        # rewritten only to cover a larger cap
+        row = _ND_NBS.get(pattern.images)
+        if row is not before:
+            rows[pattern.images] = row
     return out, rows
 
 
 def ProcessPoolExecutor(max_workers: int):
-    """A process pool; its module is imported only when a sweep starts workers."""
+    """A process pool whose workers start from this process's nd/nbs table:
+    a forked worker inherits it, and a forkserver or spawned one gets it
+    pickled once.  Its module is imported only when a sweep starts workers."""
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=max_workers)
+    return ProcessPoolExecutor(
+        max_workers=max_workers, initializer=_merge_rows, initargs=(_ND_NBS,)
+    )
 
 
 def _violation_key(v: dict):
@@ -489,27 +509,33 @@ def _run_suite(suite: str, params: dict, jobs: int) -> VerificationReport:
     split by stride into one task per worker, with at most one worker per CPU.
     One worker runs its tasks in this process, so caches and tracing see the
     work, and its tasks carry no rows: they read the table itself.  More
-    workers run them in one process pool per suite, and each task carries
-    this process's nd/nbs rows of its period and every lower one, so the
-    workers start from the table under any start method (fork, forkserver,
-    spawn), and the shards' rows are merged back after each period, keeping
-    the longer scan: later periods and suites reuse the earlier scans.
+    workers run them in one process pool per suite.  Each worker starts from
+    this process's nd/nbs table under any start method (fork, forkserver,
+    spawn; see `ProcessPoolExecutor`).  A shard returns the rows it wrote,
+    which are merged back after each period, keeping the longer scan, so
+    later periods and suites reuse the earlier scans.  A task carries the
+    rows that shards returned since the pool started, which its worker may
+    not have.
     """
     if _integer(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     periods = range(SUITES[suite].first_period, params["max_period"] + 1)
     workers = min(jobs, os.cpu_count() or 1)
-    violations = []
+    violations, returned = [], {}
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for period in periods:
-            known = {im: row for im, row in _ND_NBS.items() if len(im) <= period} if pool else {}
             tasks = [
-                (suite, period, offset, workers, tuple(params.items()), known)
+                (suite, period, offset, workers, tuple(params.items()), returned)
                 for offset in range(workers)
             ]
-            for part, rows in (pool.map if pool else map)(_shard_worker, tasks):
+            # every task has run before `returned` grows, so none is
+            # pickled while it changes
+            for part, rows in list((pool.map if pool else map)(_shard_worker, tasks)):
                 violations.extend(part)
                 _merge_rows(rows)
+                if pool:
+                    # the table's rows, which are interned
+                    returned.update((images, _ND_NBS[images]) for images in rows)
     return VerificationReport(
         suite=suite,
         params=tuple(params.items()),

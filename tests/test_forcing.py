@@ -139,6 +139,21 @@ class TestRealizeLoop:
         f = orbit.carrier
         assert {f(x) for x in orbit.points} == set(orbit.points)
 
+    def test_derives_the_labels_once_per_call(self, monkeypatch):
+        # one set of labels serves both the loop's check and the itinerary
+        derived = []
+
+        def counting(space):
+            derived.append(space)
+            return _labels(space)
+
+        monkeypatch.setattr(overrot.forcing, "_labels", counting)
+        monkeypatch.setattr(overrot.markov, "_labels", counting)
+        loops = [(1, 2), (1, 2, 2, 2), ("J2",), (2, 2), (1, 2, 2, 1, 2, 2)]
+        for loop in loops:
+            realize_loop(THREE, loop)
+        assert len(derived) == len(loops)
+
 
 class TestCompose:
     """`_compose` and `_realize`, the kernel behind `realize_loop`, on the
@@ -146,7 +161,7 @@ class TestCompose:
 
     def compose(self, pattern, loop):
         space = _covering_space(pattern.images, False)
-        ids, prefixes = _compose(space, loop)
+        ids, prefixes = _compose(space, _labels(space), loop)
         return space, ids, prefixes
 
     def test_two_loop_composition(self):
@@ -202,7 +217,7 @@ class TestKernelProperties:
         assert {f(x) for x in result.points} == set(result.points)
         assert len(result.points) == result.period
         space = _covering_space(pattern.images, False)
-        ids, prefixes = _compose(space, walk)
+        ids, prefixes = _compose(space, _labels(space), walk)
         alpha, beta = prefixes[-1]
         lo, hi = space.lows[ids[0]], space.highs[ids[0]]
         assert any(lo <= x <= hi and alpha * x + beta == x for x in result.points)
@@ -400,7 +415,7 @@ def orbit_stream(images: tuple[int, ...], q: int, target: int | None) -> list:
             steps = zip(walk, walk[1:] + walk[:1])
             if sum(right[v] and not right[u] for v, u in steps) != goal:
                 continue
-            _, prefixes = _compose(space, [labels[v] for v in walk])
+            _, prefixes = _compose(space, labels, [labels[v] for v in walk])
             res = _realize(space, s, prefixes)
             if res is None or len(set(res[1])) != q:
                 continue

@@ -695,6 +695,66 @@ class TestPeriodDispatch:
         )
 
 
+class TestRowTraffic:
+    """A parallel sweep's workers start from the table, so tasks and shards
+    carry only rows that a worker may not hold, and each row value is held
+    once."""
+
+    def test_a_sweep_over_known_rows_ships_none(self, monkeypatch):
+        carried, returned = [], []
+
+        class RecordingPool:
+            """Stands in for the process pool: records what crosses it."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                carried.extend(dict(task[5]) for task in tasks)
+                for task in tasks:
+                    part, rows = fn(task)
+                    returned.append(dict(rows))
+                    yield part, rows
+
+        monkeypatch.setattr(overrot.verify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(overrot.verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        assert verify_trichotomy(6, 8, jobs=2).passed
+        assert any(carried) and any(returned)
+        carried.clear()
+        returned.clear()
+        # refrem reads only rows of cap 8 that trichotomy wrote
+        assert verify_refrem(6, 8, jobs=2).passed
+        assert carried == returned == [{}] * 8
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_row_value_is_held_once(self, jobs, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        for name, suite in overrot.verify.SUITES.items():
+            if name == "lemmas":
+                continue
+            runner = getattr(overrot.verify, "verify_" + name.replace("-", "_"))
+            slow = [v for v in suite.slow if v is not None]
+            assert runner(*slow, jobs=jobs).passed
+        rows = list(overrot.verify._ND_NBS.values())
+        assert len(rows) == 2986
+        assert len({id(row) for row in rows}) == len(set(rows))
+
+    def test_a_scan_holds_its_row_value_once(self, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        for p in small_patterns(6):
+            nd_nbs(p, 8)
+        rows = list(overrot.verify._ND_NBS.values())
+        assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
 def _claims_under_a_row(checker, images, params, monkeypatch, row=(9, 0, 0)):
     """A checker's violations when the table holds `row` for `images` (by
     default: it forces nothing up to cap 9), sorted the way a report sorts
