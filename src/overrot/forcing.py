@@ -35,7 +35,6 @@ from .markov import (
     DegenerateRealizationError,
     DivergentPatternError,
     LoopError,
-    PLinearMap,
     _compose,
     _covering_space,
     _labels,
@@ -43,7 +42,6 @@ from .markov import (
     _realize,
     fixed_point,
     fundamental_loop_pprime,
-    p_linear,
 )
 from .patterns import (
     OrpPair,
@@ -66,19 +64,23 @@ class Orbit(_Frozen):
     points are sorted ascending; period is the exact minimal period (always
     the number of points); itinerary lists the interval labels the orbit was
     realized through, which may be longer than the period when the defining
-    walk retraced the orbit.  Equality, hash and repr leave out the carrier.
+    walk retraced the orbit; pattern is the orbit's pattern, the map's
+    permutation of the points' ranks.  Equality, hash and repr leave out the
+    pattern, which the points and the map determine.
     """
 
-    __slots__ = ("points", "period", "itinerary", "carrier")
+    __slots__ = ("points", "period", "itinerary", "pattern")
 
     def __init__(
-        self, points: tuple, period: int, itinerary: tuple[str, ...], carrier: PLinearMap
+        self, points: tuple, period: int, itinerary: tuple[str, ...], pattern: Pattern
     ) -> None:
         if period != len(points):
             raise ValueError("period must equal the number of points")
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ValueError("points must be strictly increasing")
-        for name, value in zip(Orbit.__slots__, (points, period, itinerary, carrier)):
+        if type(pattern) is not Pattern or pattern.period != period:
+            raise ValueError("pattern must be a Pattern of the orbit's period")
+        for name, value in zip(Orbit.__slots__, (points, period, itinerary, pattern)):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
@@ -115,6 +117,19 @@ def _canonical_rotation(walk: list, s: int) -> bool:
         if walk[p] == s and walk[p:] + walk[:p] < walk:
             return False
     return True
+
+
+def _ranked(nums: list) -> tuple[int, ...]:
+    """The one-line images of the forward orbit nums, one period of it: the
+    point of rank r maps to the rank of its successor in time."""
+    q = len(nums)
+    order = sorted(range(q), key=nums.__getitem__)
+    rank = [0] * q
+    for r, k in enumerate(order):
+        rank[k] = r + 1
+    # a tuple of a list, not of a generator: the latter raised the twist
+    # benchmark's peak RSS by 3%
+    return tuple([rank[(k + 1) % q] for k in order])
 
 
 def _iter_orbits(images: tuple[int, ...], q: int, target: int) -> Iterator[tuple[int, ...]]:
@@ -176,16 +191,7 @@ def _iter_orbits(images: tuple[int, ...], q: int, target: int) -> Iterator[tuple
                     prefixes[q] = (m * alpha, m * beta + offsets[v])
                     res = _realize(space, s, prefixes)
                     if res is not None and _minimal_period(res[1]) == q:
-                        # rank the forward orbit by its numerators; the point
-                        # of rank r maps to the rank of its successor in time
-                        # (a tuple of a list, not of a generator: the latter
-                        # raised the twist benchmark's peak RSS by 3%)
-                        pts = res[1]
-                        order = sorted(range(q), key=pts.__getitem__)
-                        rank = [0] * q
-                        for r, k in enumerate(order):
-                            rank[k] = r + 1
-                        yield tuple([rank[(k + 1) % q] for k in order])
+                        yield _ranked(res[1])
                 t -= 1
                 continue
             closing = rows[q - t - 1]
@@ -214,10 +220,10 @@ def realize_loop(pattern: Pattern, loop) -> Orbit | Degenerate:
     """
     if pattern.period < 2:
         raise PatternError("covering graphs need period at least 2")
-    return _realize_orbit(pattern, _covering_space(pattern.images, False), loop)
+    return _realize_orbit(_covering_space(pattern.images, False), loop)
 
 
-def _realize_orbit(pattern: Pattern, space, loop) -> Orbit | Degenerate:
+def _realize_orbit(space, loop) -> Orbit | Degenerate:
     """The body of `realize_loop`, for a closed walk of either space."""
     labels = _labels(space)
     ids, prefixes = _compose(space, labels, loop)
@@ -237,16 +243,13 @@ def _realize_orbit(pattern: Pattern, space, loop) -> Orbit | Degenerate:
         points=points,
         period=period,
         itinerary=tuple(map(labels.__getitem__, ids)),
-        carrier=p_linear(pattern),
+        pattern=_cyclic(_ranked(nums[:period])),
     )
 
 
 def pattern_of_orbit(orbit: Orbit) -> Pattern:
-    """The permutation of spatial ranks induced by the carrier map."""
-    pts = orbit.points
-    rank = {x: i + 1 for i, x in enumerate(pts)}
-    f = orbit.carrier
-    return Pattern(tuple(rank[f(x)] for x in pts))
+    """The permutation of spatial ranks induced by the map on the orbit."""
+    return orbit.pattern
 
 
 def _iter_forced_patterns(images: tuple[int, ...], q: int) -> Iterator[Pattern]:
@@ -412,7 +415,7 @@ def insert_rotation(pattern: Pattern, cap: int | None = None) -> Orbit:
     j = loop.index(half) + 1
     extended = loop[:j] + [other, half] + loop[j:]
     try:
-        orbit = _realize_orbit(pattern, _covering_space(pattern.images, True), extended)
+        orbit = _realize_orbit(_covering_space(pattern.images, True), extended)
     except LoopError as exc:
         raise DegenerateRealizationError(f"extended loop broke covering: {exc}") from None
     if not isinstance(orbit, Orbit) or orbit.period != n + 2:

@@ -14,12 +14,13 @@ into an exact periodic orbit: integer numerators over one denominator, as
 slopes and offsets are integers, so `Fraction` appears only at the API
 boundary.  One integer rule places the fixed points: J_i holds one exactly
 when the map moves i and i+1 in opposite directions, and a split point is
-the only `Fraction` in a space; `PLinearMap.fixed_points` solves only the
-pieces the rule names.  The public views read the same spaces:
-`markov_graph` the basic one, and `fundamental_loop_pprime`, which follows
-the germ of 1 around the pattern, the refined one.  The closed-walk search,
-which walks only refined spaces and keeps its closing rows in them, and the
-forcing queries built on the kernel live in `forcing`.
+the only `Fraction` in a space.  The public views read the same spaces:
+`markov_graph` the basic one; `fixed_point`, its split point, and
+`fundamental_loop_pprime`, which follows the germ of 1 around the pattern,
+the refined one.  `p_linear` only evaluates the map, for callers that want
+its values.  The closed-walk search, which walks only refined spaces and
+keeps its closing rows in them, and the forcing queries built on the kernel
+live in `forcing`.
 """
 
 from __future__ import annotations
@@ -43,57 +44,24 @@ class DegenerateRealizationError(ValueError):
     """Raised when a construction that must yield a fresh orbit fails to."""
 
 
-class PLinearMap:
-    """The connect-the-dots map of a pattern, evaluated exactly."""
+def p_linear(pattern: Pattern):
+    """The pattern-linear map of a pattern: the exact image of an int or a
+    `Fraction` in [1, n]."""
+    images = pattern.images
+    n = len(images)
 
-    def __init__(self, pattern: Pattern):
-        self.pattern = pattern
-        self.n = pattern.period
-        images = pattern.images
-        self._slopes = tuple(
-            images[i] - images[i - 1] for i in range(1, self.n)
-        )
-        self._offsets = tuple(
-            images[i - 1] - self._slopes[i - 1] * i for i in range(1, self.n)
-        )
-
-    def __call__(self, x):
-        """Exact image of an int or a `Fraction` in [1, n]."""
+    def f(x):
         if type(x) is not int and not isinstance(x, Fraction):
             raise ValueError(f"points are ints or Fractions, got {x!r}")
-        if self.n == 1:
-            if x != 1:
-                raise ValueError(f"point {x} outside [1, 1]")
+        if not 1 <= x <= n:
+            raise ValueError(f"point {x} outside [1, {n}]")
+        if n == 1:
             return Fraction(1)
-        if not 1 <= x <= self.n:
-            raise ValueError(f"point {x} outside [1, {self.n}]")
-        i = min(int(x), self.n - 1)
-        slope, offset = self._slopes[i - 1], self._offsets[i - 1]
-        return slope * x + offset
+        i = min(int(x), n - 1)
+        y = images[i - 1]
+        return y + (images[i] - y) * (x - i)
 
-    def fixed_points(self) -> list[Fraction]:
-        """All fixed points, ascending.
-
-        J_i holds one exactly when the map moves i and i+1 in opposite
-        directions, the rule `_covering_space` splits by; it is the root of
-        the piece on J_i, interior as no point of a cycle is fixed.
-        """
-        if self.n == 1:
-            return [Fraction(1)]
-        images = self.pattern.images
-        return [
-            Fraction(self._offsets[i - 1], 1 - self._slopes[i - 1])
-            for i in range(1, self.n)
-            if (images[i - 1] > i) != (images[i] > i + 1)
-        ]
-
-    def __repr__(self) -> str:
-        return f"PLinearMap({self.pattern!r})"
-
-
-def p_linear(pattern: Pattern) -> PLinearMap:
-    """The pattern-linear map of a pattern."""
-    return PLinearMap(pattern)
+    return f
 
 
 class MarkovGraph(NamedTuple):
@@ -130,7 +98,8 @@ def fixed_point(pattern: Pattern):
         raise DivergentPatternError(
             f"pattern {pattern} has more than one fixed point"
         )
-    (a,) = p_linear(pattern).fixed_points()
+    # the refined space's one split point, its only `Fraction`
+    (a,) = [lo for lo in _covering_space(pattern.images, True).lows if type(lo) is not int]
     return a, int(a)
 
 
@@ -240,6 +209,11 @@ def _compose(space: _Space, labels: list[str], loop) -> tuple[list[int], list[tu
     (slope, offset) of the composition of the first t pieces, for
     t = 0..len(loop); the last one composes the whole walk.
     """
+    try:
+        items = iter(loop)
+    except TypeError:
+        raise LoopError(f"a loop is a sequence of intervals, got {loop!r}") from None
+    loop = list(items)
     if not loop:
         raise LoopError("empty loop")
     index = {label: v for v, label in enumerate(labels)}

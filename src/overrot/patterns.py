@@ -84,6 +84,8 @@ class Pattern(_Frozen):
 
     def image(self, i: int) -> int:
         """pi(i) for a 1-indexed point i."""
+        if type(i) is not int or not 1 <= i <= len(self.images):
+            raise ValueError(f"points run 1..{len(self.images)}, got {i!r}")
         return self.images[i - 1]
 
     def __str__(self) -> str:

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import hashlib
 import pickle
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from overrot import (
     orp_spectrum,
     over_rotation_number,
     over_rotation_pair,
+    p_linear,
     pattern_of_orbit,
     realize_loop,
     stefan,
@@ -44,6 +46,15 @@ from overrot.verify import enumerate_patterns
 
 THREE = Pattern((2, 3, 1))
 TWO = Pattern((2, 1))
+
+
+def ranked_by_the_map(pattern: Pattern, points: tuple) -> Pattern:
+    """The pattern of an orbit read off the map: the rank of each point's
+    image under `p_linear`.  Orbits were ranked this way while they carried
+    the map rather than their pattern; kept as the oracle."""
+    f = p_linear(pattern)
+    rank = {x: r for r, x in enumerate(points, 1)}
+    return Pattern(tuple(rank[f(x)] for x in points))
 
 
 def small_patterns(max_period: int):
@@ -128,6 +139,11 @@ class TestRealizeLoop:
         with pytest.raises(LoopError, match="empty"):
             realize_loop(THREE, ())
 
+    @pytest.mark.parametrize("loop", [5, None, 1.5], ids=repr)
+    def test_rejects_a_loop_that_is_not_a_sequence(self, loop):
+        with pytest.raises(LoopError, match="a loop is a sequence of intervals"):
+            realize_loop(THREE, loop)
+
     @pytest.mark.parametrize("loop", [(1,), ()])
     def test_rejects_period_one_as_markov_graph_does(self, loop):
         # the period-1 pattern has no basic interval, so no covering graph
@@ -136,7 +152,7 @@ class TestRealizeLoop:
 
     def test_orbit_points_all_map_within_the_orbit(self):
         orbit = realize_loop(THREE, (1, 2, 2, 2))
-        f = orbit.carrier
+        f = p_linear(THREE)
         assert {f(x) for x in orbit.points} == set(orbit.points)
 
     def test_derives_the_labels_once_per_call(self, monkeypatch):
@@ -213,8 +229,9 @@ class TestKernelProperties:
         result = realize_loop(pattern, walk)
         if not isinstance(result, Orbit):
             return
-        f = result.carrier
+        f = p_linear(pattern)
         assert {f(x) for x in result.points} == set(result.points)
+        assert pattern_of_orbit(result) == ranked_by_the_map(pattern, result.points)
         assert len(result.points) == result.period
         space = _covering_space(pattern.images, False)
         ids, prefixes = _compose(space, _labels(space), walk)
@@ -681,7 +698,7 @@ class TestInsertRotation:
         got = pattern_of_orbit(orbit)
         assert over_rotation_pair(got) == OrpPair(3, 7)
         assert not is_doubling(got)
-        f = orbit.carrier
+        f = p_linear(p)
         assert {f(x) for x in orbit.points} == set(orbit.points)
 
     def test_mirror_case_is_the_mirror_of_the_flip(self):
@@ -745,25 +762,31 @@ class TestInsertRotation:
 class TestOrbitType:
     def test_rejects_inconsistent_period(self):
         with pytest.raises(ValueError):
-            Orbit(points=(Fraction(1), Fraction(2)), period=3, itinerary=("J1",), carrier=None)
+            Orbit(points=(Fraction(1), Fraction(2)), period=3, itinerary=("J1",), pattern=None)
 
     def test_rejects_unsorted_points(self):
         with pytest.raises(ValueError):
-            Orbit(points=(Fraction(2), Fraction(1)), period=2, itinerary=("J1",), carrier=None)
+            Orbit(points=(Fraction(2), Fraction(1)), period=2, itinerary=("J1",), pattern=None)
 
-    def test_equality_ignores_carrier(self):
+    @pytest.mark.parametrize("pattern", [None, (2, 1), THREE], ids=repr)
+    def test_rejects_a_pattern_that_is_not_one_of_the_orbits_period(self, pattern):
+        with pytest.raises(ValueError, match="pattern must be a Pattern"):
+            Orbit(points=(Fraction(1), Fraction(2)), period=2, itinerary=("J1",), pattern=pattern)
+
+    def test_equality_ignores_pattern(self):
         a = realize_loop(THREE, (1, 2))
         b = realize_loop(THREE, (1, 2))
         assert a == b
+        assert a == Orbit(a.points, a.period, a.itinerary, Pattern((2, 1)))
 
     def test_equality_and_hash_are_over_points_period_and_itinerary(self):
         a = realize_loop(THREE, (1, 2))
-        assert a.carrier is not realize_loop(THREE, (1, 2)).carrier
+        assert a.pattern is not realize_loop(THREE, (1, 2)).pattern
         assert hash(a) == hash((a.points, a.period, a.itinerary))
         assert a != (a.points, a.period, a.itinerary)
         assert a != realize_loop(THREE, (2, 1))
 
-    def test_repr_leaves_out_the_carrier(self):
+    def test_repr_leaves_out_the_pattern(self):
         assert repr(realize_loop(THREE, (1, 2))) == (
             "Orbit(points=(Fraction(5, 3), Fraction(8, 3)), period=2, "
             "itinerary=('J1', 'J2'))"
@@ -771,7 +794,7 @@ class TestOrbitType:
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         orbit = realize_loop(THREE, (1, 2))
-        for name in ("points", "period", "itinerary", "carrier"):
+        for name in ("points", "period", "itinerary", "pattern"):
             with pytest.raises(AttributeError):
                 setattr(orbit, name, None)
             with pytest.raises(AttributeError):
@@ -784,5 +807,83 @@ class TestOrbitType:
         back = round_trip(orbit)
         assert type(back) is Orbit
         assert back == orbit and repr(back) == repr(orbit)
-        # the carrier comes along, so the copy still gives its pattern
+        # the pattern comes along, so the copy still gives it
         assert pattern_of_orbit(back) == pattern_of_orbit(orbit)
+
+
+def follows_its_itinerary(pattern: Pattern, orbit: Orbit) -> bool:
+    """True when a point of the orbit visits the intervals of the orbit's
+    itinerary in turn under `p_linear` and comes back to itself."""
+    f = p_linear(pattern)
+    bounds = {f"J{i}": (i, i + 1) for i in range(1, pattern.period)}
+    if is_convergent(pattern):
+        a, i = fixed_point(pattern)
+        bounds.update(Il=(i, a), Ir=(a, i + 1))
+    for x in orbit.points:
+        y = x
+        for label in orbit.itinerary:
+            lo, hi = bounds[label]
+            if not lo <= y <= hi:
+                break
+            y = f(y)
+        else:
+            if y == x:
+                return True
+    return False
+
+
+def realization_lines():
+    """One line per output of `fixed_point` and `insert_rotation` on every
+    canonical pattern of period 2..8 and its flip, and of `realize_loop` on
+    every closed walk of length 1..4 of those of period 2..6, an orbit's line
+    with its `pattern_of_orbit`.  Each output is checked on the way against
+    the map evaluated from its definition: the fixed point is fixed and
+    inside its interval, an orbit follows its itinerary, and its pattern is
+    the one the map ranks."""
+    for n in range(2, 9):
+        for canon in enumerate_patterns(n):
+            for p in (canon, flip(canon)):
+                if not is_convergent(p):
+                    continue
+                a, i = fixed_point(p)
+                assert i < a < i + 1 and p_linear(p)(a) == a, str(p)
+                yield f"{p}: {a} in J{i}"
+                try:
+                    orbit = insert_rotation(p)
+                except ValueError as exc:
+                    yield f"{p}: {type(exc).__name__}"
+                    continue
+                assert follows_its_itinerary(p, orbit), str(p)
+                assert pattern_of_orbit(orbit) == ranked_by_the_map(p, orbit.points), str(p)
+                yield f"{p}: {orbit!r} {pattern_of_orbit(orbit)}"
+    for n in range(2, 7):
+        for canon in enumerate_patterns(n):
+            for p in (canon, flip(canon)):
+                for q in range(1, 5):
+                    for walk in every_closed_walk(p, q):
+                        orbit = realize_loop(p, walk)
+                        if isinstance(orbit, Orbit):
+                            assert follows_its_itinerary(p, orbit), (str(p), walk)
+                            got = pattern_of_orbit(orbit)
+                            assert got == ranked_by_the_map(p, orbit.points), (str(p), walk)
+                            yield f"{p} {walk}: {orbit!r} {got}"
+                        else:
+                            yield f"{p} {walk}: {orbit!r}"
+
+
+class TestOneModelOfTheMap:
+    """Fixed points and orbit patterns are read off the covering space alone.
+    The outputs agree with the map evaluated from its definition, and they
+    hash to what they hashed to while a second model of the map
+    (`PLinearMap`) placed the fixed point and ranked each orbit."""
+
+    def test_outputs_match_the_map_and_the_digest_of_the_second_model(self):
+        digest = hashlib.sha256()
+        lines = 0
+        for line in realization_lines():
+            digest.update(line.encode() + b"\n")
+            lines += 1
+        assert (lines, digest.hexdigest()) == (
+            15390,
+            "8ca5527d06b5e523fe2e7a41ac80f82bbb948b1507b0dd87c498fe9c3f5c61cd",
+        )

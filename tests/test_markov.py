@@ -29,6 +29,12 @@ from overrot.markov import DegenerateRealizationError, _covering_space, _labels,
 from overrot.verify import enumerate_patterns, nd_nbs
 
 
+def split_points(images):
+    """The refined space's split points, its only `Fraction`s: the fixed
+    points of the map."""
+    return [lo for lo in _covering_space(images, True).lows if type(lo) is not int]
+
+
 class TestPLinearMap:
     def test_interpolates_the_pattern(self):
         p = Pattern((2, 3, 1))
@@ -55,16 +61,17 @@ class TestPLinearMap:
                 p_linear(Pattern(images))(bad)
 
     def test_fixed_points(self):
-        f = p_linear(Pattern((2, 3, 1)))
-        assert f.fixed_points() == [Fraction(7, 3)]
+        # the map fixes the refined space's split points
+        assert split_points((2, 3, 1)) == [Fraction(7, 3)]
         # divergent: one in each of J1, J2 and J3
+        points = [Fraction(5, 3), Fraction(5, 2), Fraction(10, 3)]
+        assert split_points((3, 1, 4, 2)) == points
         f = p_linear(Pattern((3, 1, 4, 2)))
-        assert f.fixed_points() == [Fraction(5, 3), Fraction(5, 2), Fraction(10, 3)]
+        assert [f(a) for a in points] == points
 
     def test_fixed_point_of_degenerate_period_one(self):
         f = p_linear(Pattern((1,)))
-        assert f(1) == 1
-        assert f.fixed_points() == [Fraction(1)]
+        assert f(1) == 1 and type(f(1)) is Fraction
 
 
 class TestMarkovGraph:
@@ -152,7 +159,7 @@ class TestRefinedSpace:
                 f = p_linear(p)
                 space = _covering_space(p.images, True)
                 ends = set(space.lows) | set(space.highs)
-                assert ends == set(range(1, n + 1)) | set(f.fixed_points())
+                assert ends == set(range(1, n + 1)) | set(root_scan(p.images))
                 for lo, hi, right in zip(space.lows, space.highs, space.right):
                     x = (Fraction(lo) + Fraction(hi)) / 2
                     assert right == (f(x) < x), (str(p), lo, hi)
@@ -164,7 +171,7 @@ class TestRefinedSpace:
                 if is_convergent(p):
                     assert split == ["Il", "Ir"], str(p)
                 else:
-                    assert len(split) == 2 * len(f.fixed_points()), str(p)
+                    assert len(split) == 2 * len(root_scan(p.images)), str(p)
 
     def test_divergent_labels(self):
         # 3 1 4 2 has fixed points 5/3 in J1, 5/2 in J2 and 10/3 in J3; the
@@ -190,14 +197,14 @@ def root_scan(images):
 
 
 class TestSignRule:
-    """`fixed_points` places one fixed point in each J_i whose ends the map
-    moves in opposite directions; it finds what the root scan finds."""
+    """The refined space splits at one fixed point in each J_i whose ends the
+    map moves in opposite directions; it finds what the root scan finds."""
 
     @pytest.mark.parametrize("period", range(2, 10))
     def test_matches_the_root_scan(self, period):
         for canon in enumerate_patterns(period):
             for p in (canon, flip(canon)):
-                got = p_linear(p).fixed_points()
+                got = split_points(p.images)
                 assert got == root_scan(p.images), str(p)
                 assert all(type(a) is Fraction for a in got), str(p)
 
@@ -390,7 +397,7 @@ class TestRefinedLoop:
             for p in (canon, flip(canon)):
                 if is_convergent(p):
                     loop = fundamental_loop_pprime(p)
-                    orbit = _realize_orbit(p, _covering_space(p.images, True), loop)
+                    orbit = _realize_orbit(_covering_space(p.images, True), loop)
                     assert orbit.itinerary == loop, str(p)
                     assert pattern_of_orbit(orbit) == p, str(p)
 

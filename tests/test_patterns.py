@@ -57,6 +57,12 @@ class TestConstruction:
         assert p.period == 3
         assert [p.image(i) for i in (1, 2, 3)] == [2, 3, 1]
 
+    @pytest.mark.parametrize("bad", [0, -1, 4, True, 1.0, "1", None], ids=repr)
+    def test_image_rejects_points_outside_one_to_n(self, bad):
+        # a negative or zero index would otherwise read an image from the end
+        with pytest.raises(ValueError, match="points run 1..3"):
+            Pattern((2, 3, 1)).image(bad)
+
     def test_rejects_empty(self):
         with pytest.raises(PatternError):
             Pattern(())

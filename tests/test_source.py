@@ -1,6 +1,7 @@
 """Source-level rules for the library code."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -96,3 +97,20 @@ def test_a_cold_import_of_the_cli_loads_no_pool_or_dataclass_machinery():
     added = set(run.stdout.split())
     assert "overrot.cli" in added
     assert not added & {"dataclasses", "concurrent.futures.process", "multiprocessing"}
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench's tracer rebinds each (module, attr) of its SPANS by name, so
+    # a traced benchmark run fails once one of them is renamed or deleted
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    named = [pair for pairs in tracer.SPANS.values() for pair in pairs]
+    assert named
+    missing = [
+        (module, attr)
+        for module, attr in named
+        if not hasattr(importlib.import_module(f"overrot.{module}"), attr)
+    ]
+    assert not missing, missing
