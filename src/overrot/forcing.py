@@ -5,10 +5,11 @@ covering graph.  Composing the affine pieces along a closed walk gives an
 affine map of the start interval; its fixed point realizes a periodic orbit
 exactly, as integer numerators over one denominator.  The search
 `_iter_orbits` enumerates closed walks of a given length, realizes each, and
-yields the pattern of each orbit, ranked on its numerators; every query
-(forced sets, forcing, spectra, twist verdicts, and the nd/nbs scans of
-`verify`) is a reduction over that stream.  Only `realize_loop` and
-`insert_rotation` return orbit points, as `Fraction`s.
+yields the pattern of each orbit, ranked on its numerators, with the walk
+that realized it; every query (forced sets, forcing, spectra, twist
+verdicts, and the nd/nbs scans of `verify`, which also replay kept walks)
+is a reduction over that stream.  Only `realize_loop` and `insert_rotation`
+return orbit points, as `Fraction`s.
 
 The search walks the refined intervals, which split every basic interval
 holding a fixed point at that point; the basic ones serve only `realize_loop`
@@ -132,23 +133,27 @@ def _ranked(nums: list) -> tuple[int, ...]:
     return tuple([rank[(k + 1) % q] for k in order])
 
 
-def _iter_orbits(images: tuple[int, ...], q: int, target: int) -> Iterator[tuple[int, ...]]:
+def _iter_orbits(
+    images: tuple[int, ...], q: int, target: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The patterns of a pattern's map's orbits of over-rotation pair (target, q).
 
     Walks the closed length-q walks of the refined covering space, one
-    canonical rotation each, realizes each walk's periodic orbit and yields
-    the one-line images of the orbits of minimal period q (not canonicalized;
-    one per canonical walk, so an orbit traced by two walks is yielded
-    twice).  No point leaves this generator.  Only walks making exactly
-    `target` falling-to-rising transitions survive.  Each start vertex's
-    closing rows in the space (`_Space.closing`), filled here up to row q,
-    say exactly which vertices can still close the walk with the crossings
-    left, so every edge taken lies on a closed walk of length q meeting the
-    target, and a start vertex without one is skipped.  The rows are 0 below
-    the start, which alone keeps each walk on the vertices from s up.  The
-    depth-first search holds, per depth, the walk's vertex, its crossings
-    and an iterator over that vertex's successors, and the prefix
-    compositions in the one list `_realize` reads.
+    canonical rotation each, realizes each walk's periodic orbit and yields,
+    for each orbit of minimal period q, its one-line images (not
+    canonicalized) and the walk, as a tuple of vertex ids: one pair per
+    canonical walk, so an orbit traced by two walks is yielded twice.  A
+    caller may keep the walk and realize it again.  No point leaves this
+    generator.  Only walks making exactly `target` falling-to-rising
+    transitions survive.  Each start vertex's closing rows in the space
+    (`_Space.closing`), filled here up to row q, say exactly which vertices
+    can still close the walk with the crossings left, so every edge taken
+    lies on a closed walk of length q meeting the target, and a start vertex
+    without one is skipped.  The rows are 0 below the start, which alone
+    keeps each walk on the vertices from s up.  The depth-first search holds,
+    per depth, the walk's vertex, its crossings and an iterator over that
+    vertex's successors, and the prefix compositions in the one list
+    `_realize` reads.
     """
     space = _covering_space(images, True)
     slopes = space.slopes
@@ -191,7 +196,7 @@ def _iter_orbits(images: tuple[int, ...], q: int, target: int) -> Iterator[tuple
                     prefixes[q] = (m * alpha, m * beta + offsets[v])
                     res = _realize(space, s, prefixes)
                     if res is not None and _minimal_period(res[1]) == q:
-                        yield _ranked(res[1])
+                        yield _ranked(res[1]), tuple(walk)
                 t -= 1
                 continue
             closing = rows[q - t - 1]
@@ -260,7 +265,7 @@ def _iter_forced_patterns(images: tuple[int, ...], q: int) -> Iterator[Pattern]:
         return
     seen = set()
     for p in range(1, q // 2 + 1):
-        for orbit in _iter_orbits(images, q, p):
+        for orbit, _ in _iter_orbits(images, q, p):
             key = min(orbit, _flip_images(orbit))
             if key not in seen:
                 seen.add(key)
@@ -284,7 +289,7 @@ def forces(a: Pattern, b: Pattern) -> bool:
     images = canonical(b).images
     # b's orbits have b's half-turns; a fixed point, b of period 1, is forced
     orbits = _iter_orbits(canonical(a).images, len(images), _half_turns(images))
-    return len(images) == 1 or any(min(o, _flip_images(o)) == images for o in orbits)
+    return len(images) == 1 or any(min(o, _flip_images(o)) == images for o, _ in orbits)
 
 
 def orp_spectrum(pattern: Pattern, cap: int) -> frozenset[OrpPair]:
@@ -362,7 +367,7 @@ def _twist_cached(images: tuple[int, ...], cap: int) -> NotTwist | TwistUpTo:
             f"number {rho}"
         )
     for q in range(step, cap + 1, step):
-        for orbit in _iter_orbits(images, q, target=int(rho * q)):
+        for orbit, _ in _iter_orbits(images, q, target=int(rho * q)):
             if min(orbit, _flip_images(orbit)) != images:
                 return NotTwist()
     return TwistUpTo(cap)

@@ -10,7 +10,11 @@ one table per process that every cap and every suite reads.  The workers of
 a parallel sweep start from it, and after each period they return the rows
 they wrote.  A row is closed under forcing, so an nd/nbs certificate rests
 on the walk search plus transitivity of forcing (Baldwin 1987; Alseda,
-Llibre & Misiurewicz 2.6).
+Llibre & Misiurewicz 2.6).  Each process also keeps, per period, the few
+closed walks that settled it in the latest scans; a scan replays them
+before it searches, realizing and testing each orbit as the search does.
+The checkers decide each claim on a row's bits, and build sets and
+witnesses only for a claim that fails.
 """
 
 from __future__ import annotations
@@ -25,11 +29,18 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .forcing import (
     TwistUpTo,
     _iter_orbits,
+    _ranked,
     forced_patterns,
     is_twist_bounded,
     orp_spectrum,
 )
-from .markov import fixed_point, fundamental_loop_pprime
+from .markov import (
+    _covering_space,
+    _minimal_period,
+    _realize,
+    fixed_point,
+    fundamental_loop_pprime,
+)
 from .orders import OrpPair, _star_rank, n_r
 from .patterns import (
     Pattern,
@@ -131,14 +142,26 @@ _ND_NBS: dict[tuple[int, ...], tuple[int, int, int]] = {}
 _ROWS: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
 
+# period q -> the closed walks of a refined space whose orbits settled q in
+# the latest scans, latest first, at most 8: a scan replays them before it
+# searches q.  One store per process, like the table.
+_WALKS: dict[int, list[tuple[int, ...]]] = {}
+
+
 @lru_cache(maxsize=1024)
 def _periods(bits: int, cap: int) -> frozenset[int]:
     return frozenset(q for q in range(3, cap + 1) if bits >> q & 1)
 
 
-def _no_division_orbits(images: tuple[int, ...], q: int, convergent: bool) -> Iterator:
-    """The one-line images of the period-q orbits of a pattern's map that
-    have no division, as `_iter_orbits` yields them (not canonicalized).
+@lru_cache(maxsize=64)
+def _scan_order(top: int, cap: int) -> tuple[int, ...]:
+    """Periods top + 1..cap in the paper's order 4, 6, 3, 8, 10, 5, ..."""
+    return tuple(sorted(range(top + 1, cap + 1), key=_star_rank))
+
+
+def _no_division_walks(images: tuple[int, ...], q: int, convergent: bool) -> Iterator:
+    """The period-q orbits of a pattern's map that have no division, as
+    `_iter_orbits` yields them (not canonicalized), each with its walk.
 
     In a division every point moves to the other half, so the orbit makes
     q / 2 half-turns: the orbits at the targets p < q / 2 have none and are
@@ -148,9 +171,45 @@ def _no_division_orbits(images: tuple[int, ...], q: int, convergent: bool) -> It
     17, 1997); only a divergent pattern's are walked, each one tested."""
     last = (q - 1) // 2 if convergent else q // 2
     for p in range(1, last + 1):
-        for orbit in _iter_orbits(images, q, p):
+        for orbit, walk in _iter_orbits(images, q, p):
             if 2 * p < q or not _has_division(orbit):
-                yield orbit
+                yield orbit, walk
+
+
+def _no_division_orbits(images: tuple[int, ...], q: int, convergent: bool) -> Iterator:
+    """The orbits of `_no_division_walks`, without their walks."""
+    return (orbit for orbit, _ in _no_division_walks(images, q, convergent))
+
+
+def _replayed(space, walk: tuple[int, ...], q: int) -> tuple[int, ...] | None:
+    """The one-line images of the orbit a kept walk realizes in a refined
+    space, when the walk is a closed walk in it and its orbit has minimal
+    period q and no block structure; else None.
+
+    The walk may come from another pattern's space, so every step is checked
+    to be an edge, the closing step first.  succ holds ranges of vertex ids,
+    so an id is in range once it heads an edge; only the last id is read as
+    a tail before that, and it gets a bound check.  The orbit is realized
+    and ranked as the search does it (`markov._realize`, `forcing._ranked`),
+    so it is as exact as a searched one."""
+    succ, slopes, offsets = space.succ, space.slopes, space.offsets
+    u = walk[-1]
+    if u >= len(succ):
+        return None
+    alpha, beta = 1, 0
+    prefixes = [(alpha, beta)]
+    for v in walk:
+        if v not in succ[u]:
+            return None
+        m = slopes[v]
+        alpha, beta = m * alpha, m * beta + offsets[v]
+        prefixes.append((alpha, beta))
+        u = v
+    res = _realize(space, walk[0], prefixes)
+    if res is None or _minimal_period(res[1]) != q:
+        return None
+    orbit = _ranked(res[1])
+    return orbit if next(_block_factors(orbit), None) is None else None
 
 
 def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
@@ -165,7 +224,15 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
     orbit of a period early in it forces nbs orbits of every period after it,
     so its row settles those periods unscanned.  Every bit is found or
     brought in from an exact row, so the row does not depend on the order.
-    Only orbits without a division can set a bit (`_no_division_orbits`)."""
+    Only orbits without a division can set a bit (`_no_division_walks`).
+
+    Before it searches q, the scan replays the walks that settled q in the
+    latest scans (`_WALKS`).  The first that is a closed walk of this
+    pattern's refined space and realizes an orbit of minimal period q without
+    a block structure (`_replayed`) settles q as a searched one would: any
+    closed walk of the space realizes an orbit of the map, so that orbit's
+    pattern is forced.  Only when none does is q searched.  The walk that
+    settles q, replayed or searched, goes to the front of q's store."""
     if _integer(cap, "cap") < 3:
         raise ValueError(f"cap must be at least 3, got {cap}")
     # keys are canonical images, so a pattern found in the table is its own
@@ -175,12 +242,20 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
     top, nd, nbs = row or _ND_NBS.get(rep.images, (2, 0, 0))
     if top < cap:
         convergent = is_convergent(rep)
-        for q in sorted(range(top + 1, cap + 1), key=_star_rank):
+        space = _covering_space(rep.images, True)
+        for q in _scan_order(top, cap):
             # an nbs bit answers q: no block structure rules out division
             # too (a division is a two-block decomposition once q > 2)
             if nbs >> q & 1:
                 continue
-            for orbit in _no_division_orbits(rep.images, q, convergent):
+            walks = _WALKS.setdefault(q, [])
+            found = _no_division_walks(rep.images, q, convergent)
+            for walk in walks:
+                orbit = _replayed(space, walk, q)
+                if orbit:
+                    found = [(orbit, walk)]
+                    break
+            for orbit, walk in found:
                 no_bs = next(_block_factors(orbit), None) is None
                 if not no_bs and nd >> q & 1:
                     continue
@@ -191,6 +266,12 @@ def nd_nbs(pattern: Pattern, cap: int) -> NdNbsReport:
                 nd |= 1 << q | b_nd & mask
                 nbs |= no_bs << q | b_nbs & mask
                 if nbs >> q & 1:
+                    if no_bs:
+                        # to the front of q's store, which keeps 8
+                        if walk in walks:
+                            walks.remove(walk)
+                        walks.insert(0, walk)
+                        del walks[8:]
                     break
         # the scan at q does not depend on the cap, so every cap shares the row
         row = (cap, nd, nbs)
@@ -223,9 +304,32 @@ def _forced_periods(
     ]
 
 
+def _row_bits(pattern: Pattern, cap: int) -> tuple[int, int]:
+    """The nd and nbs bits of a pattern's row, masked to periods 3..cap.  The
+    checkers decide their claims on these; a pattern that the table lacks,
+    or holds to a smaller cap, is scanned through `nd_nbs`."""
+    row = _ND_NBS.get(pattern.images)
+    if row is None or row[0] < cap:
+        row = _ND_NBS[nd_nbs(pattern, cap).pattern.images]
+    mask = (2 << cap) - 8
+    return row[1] & mask, row[2] & mask
+
+
+def _missing_periods(
+    pattern: Pattern, cap: int, source: str, wanted: int, found: int, kind: str
+) -> list[dict]:
+    """`_forced_periods` on bits: the periods of `wanted` missing from `found`,
+    the row's bits of that kind.  Only a failed claim builds its report."""
+    if not wanted & ~found:
+        return []
+    report = nd_nbs(pattern, cap)
+    return _forced_periods(pattern, source, _periods(wanted, cap), report, kind)
+
+
 @lru_cache(maxsize=256)
-def _truncated_n_r(r: int, cap: int) -> frozenset[int]:
-    return frozenset(s for s in n_r(r, cap) if 3 <= s <= cap)
+def _down_bits(r: int, cap: int) -> int:
+    """The periods 3..cap of `n_r(r, cap)` as bits."""
+    return sum(1 << s for s in n_r(r, cap) if 3 <= s <= cap)
 
 
 def _check_forcing_order(pattern: Pattern, params: dict) -> list[dict]:
@@ -239,33 +343,33 @@ def _check_forcing_order(pattern: Pattern, params: dict) -> list[dict]:
     no_bs = next(_block_factors(pattern.images), None) is None
     if not (no_div or no_bs):
         return out
-    report = nd_nbs(pattern, cap)
-    below = _truncated_n_r(m, cap) - {m}
+    nd, nbs = _row_bits(pattern, cap)
+    below = _down_bits(m, cap) & ~(1 << m)
     if no_div:
-        out += _forced_periods(pattern, "no-division", below, report, "nd")
+        out += _missing_periods(pattern, cap, "no-division", below, nd, "nd")
     if no_bs:
-        out += _forced_periods(pattern, "no-block-structure", below, report, "nbs")
+        out += _missing_periods(pattern, cap, "no-block-structure", below, nbs, "nbs")
     return out
 
 
 @lru_cache(maxsize=256)
-def _admissible_shapes(cap: int) -> frozenset:
-    """The nd/nbs set pairs the trichotomy allows at this cap: both empty,
+def _admissible_rows(cap: int) -> frozenset[tuple[int, int]]:
+    """The nd/nbs bit pairs the trichotomy allows at this cap: both empty,
     both equal to a principal down-set, or nd one even step wider than nbs."""
-    shapes = {(frozenset(), frozenset())}
+    rows = {(0, 0)}
     for r in range(3, 2 * cap + 3):
-        tail = _truncated_n_r(r, cap)
-        shapes.add((tail, tail))
+        tail = _down_bits(r, cap)
+        rows.add((tail, tail))
     for n in range(1, cap + 1):
-        shapes.add((_truncated_n_r(4 * n + 2, cap), _truncated_n_r(2 * n + 1, cap)))
-    return frozenset(shapes)
+        rows.add((_down_bits(4 * n + 2, cap), _down_bits(2 * n + 1, cap)))
+    return frozenset(rows)
 
 
 def _check_trichotomy(pattern: Pattern, params: dict) -> list[dict]:
     cap = params["cap"]
-    report = nd_nbs(pattern, cap)
-    if (report.nd, report.nbs) in _admissible_shapes(cap):
+    if _row_bits(pattern, cap) in _admissible_rows(cap):
         return []
+    report = nd_nbs(pattern, cap)
     return [
         _violation(
             pattern,
@@ -282,10 +386,11 @@ def _check_refrem(pattern: Pattern, params: dict) -> list[dict]:
     m = pattern.period
     if has_division(pattern):
         return []
-    wanted = _truncated_n_r(m, cap)
+    wanted = _down_bits(m, cap)
     if m % 4 == 2:
-        wanted -= {m}
-    return _forced_periods(pattern, "no-division", wanted, nd_nbs(pattern, cap), "nbs")
+        wanted &= ~(1 << m)
+    _, nbs = _row_bits(pattern, cap)
+    return _missing_periods(pattern, cap, "no-division", wanted, nbs, "nbs")
 
 
 def _check_stefan_only(pattern: Pattern, params: dict) -> list[dict]:
@@ -299,38 +404,36 @@ def _check_stefan_only(pattern: Pattern, params: dict) -> list[dict]:
     by `_no_division_orbits`) doubles the period-(2n+1) spiral.
     """
     cap = params["max_period"]
-    report = nd_nbs(pattern, cap)
+    nd, nbs = _row_bits(pattern, cap)
     out = []
-    odd_nbs = sorted(q for q in report.nbs if q % 2)
-    if odd_nbs:
-        m = odd_nbs[0]
-        if m > 3:
-            spiral = stefan(m)
-            for forced in sorted(forced_patterns(pattern, m), key=lambda p: p.images):
-                if forced != spiral:
-                    out.append(
-                        _violation(
-                            pattern,
-                            f"every forced period-{m} pattern is the period-{m} spiral",
-                            str(forced),
-                        )
-                    )
-        for q in range(3, m, 2):
-            if forced_patterns(pattern, q):
+    # the least odd period in nbs, or none (0)
+    m = next((q for q in range(3, cap + 1, 2) if nbs >> q & 1), 0)
+    if m > 3:
+        spiral = stefan(m)
+        for forced in sorted(forced_patterns(pattern, m), key=lambda p: p.images):
+            if forced != spiral:
                 out.append(
                     _violation(
                         pattern,
-                        f"no pattern of odd period {q} below {m} is forced",
-                        f"forced set at period {q} is nonempty",
+                        f"every forced period-{m} pattern is the period-{m} spiral",
+                        str(forced),
                     )
                 )
-    rep = report.pattern
+    for q in range(3, m, 2):
+        if forced_patterns(pattern, q):
+            out.append(
+                _violation(
+                    pattern,
+                    f"no pattern of odd period {q} below {m} is forced",
+                    f"forced set at period {q} is nonempty",
+                )
+            )
     for half in range(1, (cap - 2) // 4 + 1):
         q = 4 * half + 2
-        if q not in report.nd or q in report.nbs:
+        if not nd >> q & 1 or nbs >> q & 1:
             continue
         spiral = stefan(2 * half + 1).images
-        orbits = _no_division_orbits(rep.images, q, is_convergent(rep))
+        orbits = _no_division_orbits(canonical(pattern).images, q, is_convergent(pattern))
         for key in sorted({min(o, _flip_images(o)) for o in orbits}):
             # block sizes come ascending, so size 2 comes first if at all
             size, factor = next(_block_factors(key), (0, ()))
@@ -476,10 +579,11 @@ def _shard_worker(task) -> tuple[list[dict], dict]:
     suite, period, offset, stride, params, known = task
     _merge_rows(known)
     checker = SUITES[suite].checker
+    params = dict(params)
     out, rows = [], {}
     for pattern in enumerate_patterns(period, offset=offset, stride=stride):
         before = _ND_NBS.get(pattern.images)
-        out.extend(checker(pattern, dict(params)))
+        out.extend(checker(pattern, params))
         # a written row is a new object: rows are interned, and a row is
         # rewritten only to cover a larger cap
         row = _ND_NBS.get(pattern.images)
@@ -587,9 +691,11 @@ def verify_lemmas(n_max: int = 10, cap: int = 9, jobs: int = 1) -> VerificationR
     (1,q) orbits and no-block-structure patterns at every period; twist
     patterns hit the fixed-point interval from inside and have clean
     fundamental loops; and over-rotation pairs step down by (1,2).  The
-    last three are checked through period min(8, n_max), which the report
-    states as claim_max_period."""
+    last three need spectra, nd/nbs scans or twist verdicts up to the cap,
+    and are checked through period min(cap - 1, n_max), which the report
+    states as claim_max_period: 8 at the defaults (10, 9), 9 under --slow
+    (10, 10)."""
     if _integer(n_max, "n_max") < 2 or _integer(cap, "cap") < 3:
         raise ValueError(f"need n_max >= 2 and cap >= 3, got {n_max}, {cap}")
-    params = {"max_period": n_max, "cap": cap, "claim_max_period": min(8, n_max)}
+    params = {"max_period": n_max, "cap": cap, "claim_max_period": min(cap - 1, n_max)}
     return _run_suite("lemmas", params, jobs)

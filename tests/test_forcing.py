@@ -313,7 +313,7 @@ class TestSearchAgainstKernel:
                     for target in range(1, q // 2 + 1):
                         found = {
                             min(images, _flip_images(images))
-                            for images in _iter_orbits(p.images, q, target)
+                            for images, _ in _iter_orbits(p.images, q, target)
                         }
                         expected = {
                             f.images for f in forced if over_rotation_pair(f).p == target
@@ -373,7 +373,7 @@ def spectrum_by_enumeration(images: tuple[int, ...], cap: int) -> frozenset:
     return frozenset(
         OrpPair(_half_turns(orbit), q)
         for q in range(2, cap + 1)
-        for orbit in orbit_stream(images, q, None)
+        for orbit, _ in orbit_stream(images, q, None)
     )
 
 
@@ -386,7 +386,7 @@ class TestRefinedCrossings:
         for p in (p for p in CANONICAL_2_TO_6 if p.period >= 3):
             for q in range(2, 9):
                 for target in range(1, q // 2 + 1):
-                    for orbit in _iter_orbits(p.images, q, target):
+                    for orbit, _ in _iter_orbits(p.images, q, target):
                         assert _half_turns(orbit) == target, (str(p), orbit)
                         yielded += 1
         # one orbit per canonical walk; the count keeps the check from
@@ -405,9 +405,9 @@ def orbit_stream(images: tuple[int, ...], q: int, target: int | None) -> list:
     vertices >= s in lexicographic order; a walk is kept when it is the least
     of its rotations and makes the goal's number of falling-to-rising
     crossings, realized through `_compose` and `_realize`, and its orbit
-    ranked when it has q distinct points.  Without a target it walks the
-    basic space, which never crosses: every orbit of period q, the oracle
-    of the union of the targeted searches.
+    ranked when it has q distinct points, next to the walk.  Without a
+    target it walks the basic space, which never crosses: every orbit of
+    period q, the oracle of the union of the targeted searches.
     """
     space = _covering_space(images, target is not None)
     goal = target or 0
@@ -441,15 +441,16 @@ def orbit_stream(images: tuple[int, ...], q: int, target: int | None) -> list:
             orbit = [0] * q
             for k in range(q):
                 orbit[rank[nums[k]] - 1] = rank[nums[(k + 1) % q]]
-            out.append(tuple(orbit))
+            out.append((tuple(orbit), tuple(walk)))
     return out
 
 
 class TestOrbitStream:
     """The search's stream itself, order and repeats included, against brute
     force: the closing rows and the DFS may prune, never add, drop or
-    reorder an orbit.  Over the targets 1..q // 2 the streams hold every
-    orbit of the basic space."""
+    reorder an orbit, and each orbit comes with the walk that realized it.
+    Over the targets 1..q // 2 the streams hold every orbit of the basic
+    space."""
 
     @pytest.mark.parametrize("pattern", CANONICAL_2_TO_6, ids=str)
     def test_stream_is_the_brute_force_stream(self, pattern):
@@ -458,10 +459,11 @@ class TestOrbitStream:
             for target in range(q // 2 + 1):
                 got = list(_iter_orbits(pattern.images, q, target))
                 assert got == orbit_stream(pattern.images, q, target), (q, target)
-                union.update(got)
+                union.update(orbit for orbit, _ in got)
             # period 1 is the fixed point, which no query searches for
             if q > 1:
-                assert union == set(orbit_stream(pattern.images, q, None)), q
+                basic = orbit_stream(pattern.images, q, None)
+                assert union == {orbit for orbit, _ in basic}, q
 
 
 class TestForces:

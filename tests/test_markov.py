@@ -539,11 +539,13 @@ class TestSpaceCache:
     @pytest.fixture(autouse=True)
     def cold(self, monkeypatch):
         monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        monkeypatch.setattr(overrot.verify, "_WALKS", {})
         _covering_space.cache_clear()
 
     def scanned_spaces(self, monkeypatch, images):
         """The spaces one nd/nbs scan of the pattern at cap 10 looks up, each
-        checked to be refined and to be one cached space."""
+        checked to be refined and to be one cached space: the scan's own
+        lookup, for the walks it replays, and one per search."""
         spaces, held = [], []
 
         def recording(images, kind):
@@ -554,6 +556,7 @@ class TestSpaceCache:
             return space
 
         monkeypatch.setattr(overrot.forcing, "_covering_space", recording)
+        monkeypatch.setattr(overrot.verify, "_covering_space", recording)
         nd_nbs(Pattern(images), 10)
         info = _covering_space.cache_info()
         assert (info.misses, info.hits) == (1, len(spaces) - 1)
@@ -568,12 +571,12 @@ class TestSpaceCache:
     def test_a_divergent_nd_nbs_scan_builds_one_refined_space(self, monkeypatch):
         # one scan per period 3..10: at each, target 1 finds an orbit without
         # a block structure, which settles the period
-        assert len(self.scanned_spaces(monkeypatch, (3, 5, 2, 6, 4, 1))) == 8
+        assert len(self.scanned_spaces(monkeypatch, (3, 5, 2, 6, 4, 1))) == 1 + 8
 
     def test_a_convergent_nd_nbs_scan_builds_one_refined_space(self, monkeypatch):
         # one scan per period q in 3..10 and target 1 <= p < q / 2, less the
         # three at (7, 3), (9, 4) and (10, 4) after an nbs orbit at a lower p
-        assert len(self.scanned_spaces(monkeypatch, (2, 4, 1, 3))) == 17
+        assert len(self.scanned_spaces(monkeypatch, (2, 4, 1, 3))) == 1 + 17
 
     def test_twist_insertion_and_spectrum_build_one_refined_space(self):
         three = Pattern((2, 3, 1))

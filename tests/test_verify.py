@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import overrot.verify
 
@@ -38,7 +39,8 @@ from overrot import (
     verify_trichotomy,
 )
 from overrot.forcing import _iter_forced_patterns, _iter_orbits
-from overrot.orders import star_precedes
+from overrot.markov import _covering_space
+from overrot.orders import n_r, star_precedes
 from overrot.patterns import _block_factors, _flip_images, _has_division
 
 
@@ -285,6 +287,16 @@ class TestSuites:
         with pytest.raises(ValueError, match="cap >= 3"):
             verify_lemmas(n_max, 2)
 
+    @pytest.mark.parametrize(
+        "scale, bound",
+        [("defaults", 8), ("slow", 9), ((5, 6), 5), ((10, 5), 4)],
+    )
+    def test_lemmas_states_its_claim_bound_one_below_the_cap(self, scale, bound, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_run_suite", lambda suite, params, jobs: params)
+        if isinstance(scale, str):
+            scale = getattr(overrot.verify.SUITES["lemmas"], scale)
+        assert verify_lemmas(*scale)["claim_max_period"] == bound
+
     def test_jobs_do_not_change_the_report(self):
         serial = verify_trichotomy(5, 8, jobs=1)
         parallel = verify_trichotomy(5, 8, jobs=3)
@@ -505,9 +517,12 @@ class TestClosureAgainstPlainScan:
             return _iter_orbits(images, q, target=target)
 
         monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        monkeypatch.setattr(overrot.verify, "_WALKS", {})
         monkeypatch.setattr(overrot.verify, "_iter_orbits", counting)
         nd_nbs(Pattern((2, 3, 1)), CLOSURE_CAP)
         scans.clear()
+        # no kept walk answers a period (see TestReplay)
+        overrot.verify._WALKS.clear()
         # periods go in the paper's order 4, 6, 3, 8, 10, 5, 7, 9; the 3-cycle
         # found at q = 3 brings its nbs bits 8, 10, 5, 7, 9 along; the pattern
         # is convergent, so each q walks the targets p < q / 2
@@ -517,6 +532,7 @@ class TestClosureAgainstPlainScan:
     def test_a_period_four_row_settles_every_period(self, monkeypatch):
         monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
         verify_forcing_order(7, CLOSURE_CAP)
+        monkeypatch.setattr(overrot.verify, "_WALKS", {})
         scans = []
 
         def counting(images, q, target):
@@ -532,6 +548,172 @@ class TestClosureAgainstPlainScan:
         assert report.nbs == report.nd == frozenset(range(3, CLOSURE_CAP + 1))
 
 
+def hostile_walks(q: int) -> list[tuple[int, ...]]:
+    """Walks of length q that a scan at q must not accept on the pattern
+    they come from: vertex ids out of range, and, from the refined spaces of
+    the patterns of periods 2-5, a walk whose closing step is not an edge
+    (every other step is), a closed walk whose orbit has a block structure,
+    and a closed walk that retraces an orbit of a smaller period.  Periods
+    3, 5 and 7 have no block structure to offer."""
+    kinds = {}
+    for p in small_patterns(5):
+        succ = _covering_space(p.images, True).succ
+        for target in range(1, q // 2 + 1):
+            for orbit, walk in _iter_orbits(p.images, q, target):
+                if next(_block_factors(orbit), None) is not None:
+                    kinds.setdefault("block structure", walk)
+                for u in succ[walk[-2]]:
+                    if walk[0] not in succ[u]:
+                        kinds.setdefault("not closed", walk[:-1] + (u,))
+        for d in (d for d in range(1, q) if q % d == 0):
+            loops = [(v,) for v in range(len(succ)) if v in succ[v]] if d == 1 else [
+                walk for target in range(1, d // 2 + 1) for _, walk in _iter_orbits(p.images, d, target)
+            ]
+            for loop in loops:
+                kinds.setdefault("smaller period", loop * (q // d))
+    return [(-1,) * q, (99,) * q, *kinds.values()]
+
+
+@pytest.fixture(scope="module")
+def hostile():
+    return {q: hostile_walks(q) for q in range(3, CLOSURE_CAP + 1)}
+
+
+THREE = Pattern((2, 3, 1))
+
+
+class TestReplay:
+    """A scan replays the walks that settled each period in the latest scans
+    before it searches it (`_WALKS`); only a closed walk of the pattern's own
+    space whose orbit has minimal period q and no block structure settles q,
+    so the rows stay the plain scan's."""
+
+    def replayed(self, walk, q):
+        return overrot.verify._replayed(_covering_space(THREE.images, True), walk, q)
+
+    def test_a_kept_walk_and_its_rotations_replay_its_orbit(self):
+        # the search's walk for the 3-cycle in its own space: 0 -> 1 -> 2 -> 0
+        assert ((2, 3, 1), (0, 1, 2)) in _iter_orbits(THREE.images, 3, 1)
+        for walk in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+            assert self.replayed(walk, 3) == (2, 3, 1), walk
+
+    @pytest.mark.parametrize(
+        "walk, q",
+        [
+            ((0, 1, 2), 4),  # shorter than q: a period below q
+            ((3, 3, 3), 3),  # ids out of range
+            ((-1, 0, 1), 3),
+            ((0, 1, 9), 3),
+            ((0, 2, 1), 3),  # 0 -> 2 -> 1 are edges, the closing 1 -> 0 is not
+            ((0, 1, 1), 3),  # 1 -> 1 is not an edge
+            ((0, 2, 1, 2), 4),  # the doubled 2-cycle 3 4 2 1: a block structure
+            ((0, 1, 2, 0, 1, 2), 6),  # the 3-cycle twice: minimal period 3
+            ((1, 2, 1, 2), 4),  # a shorter orbit twice
+        ],
+    )
+    def test_a_walk_the_scan_must_not_accept(self, walk, q):
+        assert self.replayed(walk, q) is None
+
+    def test_a_kept_walk_settles_a_period_unsearched(self, monkeypatch):
+        scans = []
+
+        def counting(images, q, target):
+            scans.append((q, target))
+            return _iter_orbits(images, q, target=target)
+
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        monkeypatch.setattr(overrot.verify, "_WALKS", {})
+        monkeypatch.setattr(overrot.verify, "_iter_orbits", counting)
+        nd_nbs(Pattern((3, 4, 5, 6, 2, 1)), CLOSURE_CAP)
+        assert overrot.verify._WALKS[3] == [(0, 2, 5)]
+        scans.clear()
+        # as in test_the_closure_skips_scans, but the walk that settled q = 3
+        # for the pattern before is a closed walk of this pattern's space
+        # too, and its orbit, a 3-cycle, settles q = 3 with no search
+        pattern = Pattern((4, 3, 5, 6, 1, 2))
+        report = nd_nbs(pattern, CLOSURE_CAP)
+        assert scans == [(4, 1), (6, 1), (6, 2)]
+        assert overrot.verify._WALKS[3] == [(0, 2, 5)]
+        nd, nbs = plain_nd_nbs(pattern.images, CLOSURE_CAP)
+        assert (report.nd, report.nbs) == (_bit_set(nd), _bit_set(nbs))
+
+    def test_a_hit_moves_to_the_front(self, monkeypatch):
+        junk = [(99, 99, 99), (-1, -1, -1)]
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        monkeypatch.setattr(overrot.verify, "_WALKS", {3: junk + [(1, 2, 0)]})
+        scans = []
+
+        def counting(images, q, target):
+            scans.append(q)
+            return _iter_orbits(images, q, target=target)
+
+        monkeypatch.setattr(overrot.verify, "_iter_orbits", counting)
+        nd_nbs(THREE, CLOSURE_CAP)
+        assert 3 not in scans
+        assert overrot.verify._WALKS[3] == [(1, 2, 0)] + junk
+
+    def test_a_settling_walk_goes_in_at_the_front_of_a_full_store(self, monkeypatch):
+        junk = {q: [(99 + k,) * q for k in range(8)] for q in range(3, CLOSURE_CAP + 1)}
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        monkeypatch.setattr(overrot.verify, "_WALKS", {q: list(w) for q, w in junk.items()})
+        nd_nbs(THREE, CLOSURE_CAP)
+        store = overrot.verify._WALKS
+        # 4 and 6 have no orbit without a division; every other period is
+        # settled by an nbs orbit the search finds
+        assert store[4] == junk[4] and store[6] == junk[6]
+        for q in (3, 5, 7, 8, 9, 10):
+            assert len(store[q]) == 8 and store[q][1:] == junk[q][:7], q
+            assert self.replayed(store[q][0], q) is not None, q
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_rows_from_an_empty_store(self, plain_rows, order, monkeypatch):
+        hits = []
+        replayed = overrot.verify._replayed
+
+        def counting(space, walk, q):
+            orbit = replayed(space, walk, q)
+            hits.append(orbit is not None)
+            return orbit
+
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        monkeypatch.setattr(overrot.verify, "_WALKS", {})
+        monkeypatch.setattr(overrot.verify, "_replayed", counting)
+        for p in small_patterns(8)[::order]:
+            nd_nbs(p, CLOSURE_CAP)
+        assert overrot.verify._ND_NBS == plain_rows
+        # the replay took part: it settled periods, and it missed
+        assert sum(hits) > 0 and not all(hits)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_rows_with_hostile_walks_in_front(self, plain_rows, hostile, order, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        monkeypatch.setattr(overrot.verify, "_WALKS", {})
+        store = overrot.verify._WALKS
+        for p in small_patterns(8)[::order]:
+            # each scan meets every hostile walk first, then the walks that
+            # settled the latest scans
+            for q, walks in hostile.items():
+                kept = [w for w in store.get(q, ()) if w not in walks]
+                store[q] = walks + kept[: 8 - len(walks)]
+            nd_nbs(p, CLOSURE_CAP)
+        assert overrot.verify._ND_NBS == plain_rows
+
+    def test_the_store_keeps_at_most_8_walks_per_period(self, monkeypatch):
+        monkeypatch.setattr(overrot.verify, "_ND_NBS", {})
+        monkeypatch.setattr(overrot.verify, "_WALKS", {})
+        for name in ("forcing-order", "trichotomy", "refrem", "stefan-only"):
+            runner = getattr(overrot.verify, "verify_" + name.replace("-", "_"))
+            slow = [v for v in overrot.verify.SUITES[name].slow if v is not None]
+            assert runner(*slow).passed
+        sizes = [len(walks) for walks in overrot.verify._WALKS.values()]
+        assert max(sizes) == 8
+        assert all(len(w) == q for q, walks in overrot.verify._WALKS.items() for w in walks)
+
+
+def _bit_set(bits):
+    return frozenset(q for q in range(3, CLOSURE_CAP + 1) if bits >> q & 1)
+
+
 class TestDivisionStratum:
     """Why the nd/nbs scan sets the nd bit untested at the targets p < q / 2,
     and why a convergent pattern's walks only those: an orbit with a division
@@ -544,7 +726,7 @@ class TestDivisionStratum:
         for n in range(3, 8):
             for p in filter(is_convergent, enumerate_patterns(n)):
                 for q in range(2, 11, 2):
-                    for orbit in _iter_orbits(p.images, q, target=q // 2):
+                    for orbit, _ in _iter_orbits(p.images, q, target=q // 2):
                         assert _has_division(orbit), (str(p), q, orbit)
                         orbits += 1
         assert orbits == 120049
@@ -553,7 +735,7 @@ class TestDivisionStratum:
         divergent = Pattern((3, 5, 2, 6, 4, 1))
         assert not is_convergent(divergent) and not has_division(divergent)
         assert over_rotation_pair(divergent) == (3, 6)
-        assert divergent.images in _iter_orbits(divergent.images, 6, target=3)
+        assert divergent.images in (o for o, _ in _iter_orbits(divergent.images, 6, target=3))
 
     def test_no_orbit_below_half_a_turn_has_one(self):
         # divergent patterns included: this half needs no convergence
@@ -562,7 +744,7 @@ class TestDivisionStratum:
             for p in enumerate_patterns(n):
                 for q in range(3, 9):
                     for target in range(1, (q + 1) // 2):
-                        for orbit in _iter_orbits(p.images, q, target=target):
+                        for orbit, _ in _iter_orbits(p.images, q, target=target):
                             assert not _has_division(orbit), (str(p), q, orbit)
                             orbits += 1
         assert orbits == 589491
@@ -883,6 +1065,170 @@ class TestClaimViolations:
         ]
 
 
+# The checkers as they decided their claims on frozensets, before they read
+# the row's bits: the oracle of the bit path.
+
+
+def truncated_n_r(r, cap):
+    return frozenset(s for s in n_r(r, cap) if 3 <= s <= cap)
+
+
+def frozenset_forcing_order(pattern, params):
+    cap = params["cap"]
+    m = pattern.period
+    out = []
+    no_div = not _has_division(pattern.images)
+    no_bs = next(_block_factors(pattern.images), None) is None
+    if not (no_div or no_bs):
+        return out
+    report = nd_nbs(pattern, cap)
+    below = truncated_n_r(m, cap) - {m}
+    forced = overrot.verify._forced_periods
+    if no_div:
+        out += forced(pattern, "no-division", below, report, "nd")
+    if no_bs:
+        out += forced(pattern, "no-block-structure", below, report, "nbs")
+    return out
+
+
+def frozenset_admissible_shapes(cap):
+    shapes = {(frozenset(), frozenset())}
+    for r in range(3, 2 * cap + 3):
+        tail = truncated_n_r(r, cap)
+        shapes.add((tail, tail))
+    for n in range(1, cap + 1):
+        shapes.add((truncated_n_r(4 * n + 2, cap), truncated_n_r(2 * n + 1, cap)))
+    return frozenset(shapes)
+
+
+def frozenset_trichotomy(pattern, params):
+    cap = params["cap"]
+    report = nd_nbs(pattern, cap)
+    if (report.nd, report.nbs) in frozenset_admissible_shapes(cap):
+        return []
+    return [
+        overrot.verify._violation(
+            pattern,
+            "nd/nbs sets form one of the three admissible shapes",
+            f"nd={sorted(report.nd)} nbs={sorted(report.nbs)}",
+        )
+    ]
+
+
+def frozenset_refrem(pattern, params):
+    cap = params["cap"]
+    m = pattern.period
+    if has_division(pattern):
+        return []
+    wanted = truncated_n_r(m, cap)
+    if m % 4 == 2:
+        wanted -= {m}
+    return overrot.verify._forced_periods(
+        pattern, "no-division", wanted, nd_nbs(pattern, cap), "nbs"
+    )
+
+
+def frozenset_stefan_only(pattern, params):
+    violation = overrot.verify._violation
+    cap = params["max_period"]
+    report = nd_nbs(pattern, cap)
+    out = []
+    odd_nbs = sorted(q for q in report.nbs if q % 2)
+    if odd_nbs:
+        m = odd_nbs[0]
+        if m > 3:
+            spiral = stefan(m)
+            for forced in sorted(forced_patterns(pattern, m), key=lambda p: p.images):
+                if forced != spiral:
+                    out.append(
+                        violation(
+                            pattern,
+                            f"every forced period-{m} pattern is the period-{m} spiral",
+                            str(forced),
+                        )
+                    )
+        for q in range(3, m, 2):
+            if forced_patterns(pattern, q):
+                out.append(
+                    violation(
+                        pattern,
+                        f"no pattern of odd period {q} below {m} is forced",
+                        f"forced set at period {q} is nonempty",
+                    )
+                )
+    rep = report.pattern
+    for half in range(1, (cap - 2) // 4 + 1):
+        q = 4 * half + 2
+        if q not in report.nd or q in report.nbs:
+            continue
+        spiral = stefan(2 * half + 1).images
+        orbits = overrot.verify._no_division_orbits(rep.images, q, is_convergent(rep))
+        for key in sorted({min(o, _flip_images(o)) for o in orbits}):
+            size, factor = next(_block_factors(key), (0, ()))
+            if size != 2 or min(factor, _flip_images(factor)) != spiral:
+                out.append(
+                    violation(
+                        pattern,
+                        f"every forced no-division period-{q} pattern doubles "
+                        f"the period-{2 * half + 1} spiral",
+                        str(Pattern(key)),
+                    )
+                )
+    return out
+
+
+ORACLE_CAP = 9
+
+# suite -> the frozenset formulation of its checker, and its parameters
+BIT_CHECKERS = {
+    "forcing-order": (frozenset_forcing_order, {"cap": ORACLE_CAP}),
+    "trichotomy": (frozenset_trichotomy, {"cap": ORACLE_CAP}),
+    "refrem": (frozenset_refrem, {"cap": ORACLE_CAP}),
+    "stefan-only": (frozenset_stefan_only, {"max_period": ORACLE_CAP}),
+}
+
+
+class TestClaimsOnBits:
+    """The checkers decide each claim on the row's bits, masked to 3..cap,
+    and build sets and witnesses only for a failed claim.  Under rows with
+    bits flipped at random (below 3 and above the cap too, and rows that
+    stop below the cap, which the checker extends by a scan), each gives
+    the violations of the frozenset formulation it replaced."""
+
+    @given(
+        pattern=st.sampled_from(small_patterns(7)),
+        top=st.integers(ORACLE_CAP - 2, ORACLE_CAP + 2),
+        nd_flips=st.integers(0, (1 << ORACLE_CAP + 4) - 1),
+        nbs_flips=st.integers(0, (1 << ORACLE_CAP + 4) - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_checker_matches_the_frozenset_formulation(
+        self, pattern, top, nd_flips, nbs_flips
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(overrot.verify, "_ND_NBS", {})
+            report = nd_nbs(pattern, top)
+            row = (
+                top,
+                sum(1 << q for q in report.nd) ^ nd_flips,
+                sum(1 << q for q in report.nbs) ^ nbs_flips,
+            )
+            for name, (oracle, params) in BIT_CHECKERS.items():
+                suite = overrot.verify.SUITES[name]
+                if pattern.period < suite.first_period:
+                    continue
+                got = _claims_under_a_row(suite.checker, pattern.images, params, mp, row)
+                want = _claims_under_a_row(oracle, pattern.images, params, mp, row)
+                assert got == want, name
+
+    @pytest.mark.parametrize("cap", range(3, 17))
+    def test_the_admissible_rows_are_the_admissible_shapes(self, cap):
+        assert overrot.verify._admissible_rows(cap) == {
+            (sum(1 << q for q in nd), sum(1 << q for q in nbs))
+            for nd, nbs in frozenset_admissible_shapes(cap)
+        }
+
+
 class TestSpiralAtPeriodThree:
     """stefan-only searches no forced set at period 3: the spiral is the only
     canonical pattern there, so claim (1) holds at m = 3 without a search."""
@@ -965,20 +1311,26 @@ class TestForcedPeriods:
         ]
 
 
+def down_set(r, cap):
+    """The periods of `verify._down_bits(r, cap)`."""
+    bits = overrot.verify._down_bits(r, cap)
+    return {s for s in range(cap + 1) if bits >> s & 1}
+
+
 class TestClaimPeriodSets:
-    """The down-sets the checkers pass to _forced_periods are the period sets
-    the star-order loops they replaced used to scan."""
+    """The down-sets the checkers ask of the row are the period sets the
+    star-order loops they replaced used to scan."""
 
     @pytest.mark.parametrize("cap", [9, 16])
     def test_forcing_order_scans_the_strict_down_set(self, cap):
         for m in range(3, cap + 1):
-            wanted = overrot.verify._truncated_n_r(m, cap) - {m}
+            wanted = down_set(m, cap) - {m}
             assert wanted == {s for s in range(3, cap + 1) if star_precedes(m, s)}, m
 
     @pytest.mark.parametrize("cap", [9, 16])
     def test_refrem_keeps_its_own_period_unless_twice_odd(self, cap):
         for m in range(3, cap + 1):
-            wanted = overrot.verify._truncated_n_r(m, cap)
+            wanted = down_set(m, cap)
             if m % 4 == 2:
                 wanted -= {m}
             assert wanted == {
